@@ -106,6 +106,17 @@ def kernel_threads() -> int:
     return max(1, n)
 
 
+def _env_flag(name: str) -> bool:
+    """Whether the environment switch *name* is on (default: off).
+
+    Read per call (not cached at import) so tests can flip the environment
+    variable without re-importing. Any value other than the usual falsy
+    spellings (empty, ``0``, ``false``, ``no``, ``off``) turns it on.
+    """
+    raw = os.environ.get(name, "0").strip().lower()
+    return raw not in ("", "0", "false", "no", "off")
+
+
 #: Environment switch for the static IR verifier
 #: (:mod:`repro.analysis.static`). When truthy, every pass application
 #: (:meth:`repro.passes.base.Pass.__call__`), every scenario-graph build,
@@ -116,14 +127,8 @@ VERIFY_GRAPHS_ENV = "REPRO_VERIFY_GRAPHS"
 
 
 def verify_graphs_enabled() -> bool:
-    """Whether graph verification is switched on (default: off).
-
-    Read per call (not cached at import) so tests can flip the environment
-    variable without re-importing. Any value other than the usual falsy
-    spellings (empty, ``0``, ``false``, ``no``, ``off``) enables it.
-    """
-    raw = os.environ.get(VERIFY_GRAPHS_ENV, "0").strip().lower()
-    return raw not in ("", "0", "false", "no", "off")
+    """Whether graph verification is switched on (see :func:`_env_flag`)."""
+    return _env_flag(VERIFY_GRAPHS_ENV)
 
 
 #: Environment switch for the runtime lock-order sanitizer
@@ -137,14 +142,8 @@ SANITIZE_ENV = "REPRO_SANITIZE"
 
 
 def sanitize_enabled() -> bool:
-    """Whether the lock-order sanitizer is on (default: off).
-
-    Read per call (not cached at import) so tests can flip the environment
-    variable without re-importing. Any value other than the usual falsy
-    spellings (empty, ``0``, ``false``, ``no``, ``off``) enables it.
-    """
-    raw = os.environ.get(SANITIZE_ENV, "0").strip().lower()
-    return raw not in ("", "0", "false", "no", "off")
+    """Whether the lock-order sanitizer is on (see :func:`_env_flag`)."""
+    return _env_flag(SANITIZE_ENV)
 
 
 #: Where the sanitizer dumps its merged lock-order graph at process exit

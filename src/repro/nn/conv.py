@@ -61,6 +61,7 @@ class Conv2d(Module):
 
         # Backward caches.
         self._x_shape = None
+        self._y_shape = None
         self._cols: Optional[np.ndarray] = None
 
     # -- forward -------------------------------------------------------------
@@ -78,6 +79,7 @@ class Conv2d(Module):
         y = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
         self._x_shape = x.shape
+        self._y_shape = y.shape
         self._cols = cols
         return np.ascontiguousarray(y)
 
@@ -93,8 +95,9 @@ class Conv2d(Module):
             raise ShapeError(
                 f"{self.name}: expected (N,{self.in_channels},H,W), got {x.shape}"
             )
-        self._cols, _ = im2col(x, self.kernel, self.stride, self.padding)
+        self._cols, (out_h, out_w) = im2col(x, self.kernel, self.stride, self.padding)
         self._x_shape = x.shape
+        self._y_shape = (x.shape[0], self.out_channels, out_h, out_w)
 
     # -- backward ------------------------------------------------------------
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -124,12 +127,9 @@ class Conv2d(Module):
         return col2im(dcols, self._x_shape, self.kernel, self.stride, self.padding)
 
     def _dy_as_2d(self, dy: np.ndarray) -> np.ndarray:
-        n, oc = dy.shape[0], dy.shape[1]
-        if oc != self.out_channels:
-            raise ShapeError(
-                f"{self.name}: dY channels {oc} != out_channels {self.out_channels}"
-            )
-        return dy.transpose(0, 2, 3, 1).reshape(-1, oc)
+        if dy.shape != self._y_shape:
+            raise ShapeError(f"{self.name}: dY shape {dy.shape} != Y shape {self._y_shape}")
+        return dy.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
 
     def output_hw(self, in_hw):
         """Expose shape inference for graph builders."""

@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ExecutionError, ShapeError
+from repro.nn.im2col import accumulate_windows
 from repro.nn.init import he_normal
 from repro.nn.module import Module, Parameter
 from repro.tensors.shapes import conv2d_output_hw
@@ -92,39 +93,28 @@ class DepthwiseConv2d(Module):
         self._windows = self._window_view(x)
 
     # -- backward -------------------------------------------------------------------
-    def backward_weights(self, dy: np.ndarray) -> None:
+    def _check_dy(self, dy: np.ndarray) -> None:
         if self._windows is None:
             raise ExecutionError(f"{self.name}: backward before forward")
+        y_shape = self._windows.shape[:4]
+        if dy.shape != y_shape:
+            raise ShapeError(f"{self.name}: dY shape {dy.shape} != Y shape {y_shape}")
+
+    def backward_weights(self, dy: np.ndarray) -> None:
+        self._check_dy(dy)
         dw = np.einsum("nchwij,nchw->cij", self._windows, dy, optimize=True)
         self.weight.accumulate_grad(dw.astype(self.weight.data.dtype))
 
     def backward_data(self, dy: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise ExecutionError(f"{self.name}: backward before forward")
+        self._check_dy(dy)
         n, c, h, w = self._x_shape
-        p, k, s = self.padding, self.kernel, self.stride
-        oh, ow = dy.shape[2], dy.shape[3]
+        p = self.padding
         dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dy.dtype)
-
-        # Scatter dy * w into the padded gradient: same index grid as col2im.
-        ky, kx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-        oy, ox = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-        rows = (oy[..., None, None] * s + ky)[None, None]
-        cols = (ox[..., None, None] * s + kx)[None, None]
+        # Each window's dy * w patch adds back into the padded gradient,
+        # exactly as col2im adds a dense conv's patches.
         contrib = dy[..., None, None] * self.weight.data[None, :, None, None]
-        np.add.at(
-            dxp,
-            (
-                np.arange(n)[:, None, None, None, None, None],
-                np.arange(c)[None, :, None, None, None, None],
-                rows,
-                cols,
-            ),
-            contrib,
-        )
-        if p > 0:
-            return dxp[:, :, p:-p, p:-p]
-        return dxp
+        accumulate_windows(dxp, contrib, self.stride)
+        return dxp[:, :, p : p + h, p : p + w]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         self.backward_weights(dy)

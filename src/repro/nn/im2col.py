@@ -4,6 +4,11 @@ The convolution is expressed as one big GEMM over an im2col matrix — the
 classic Caffe lowering. That keeps the Python layer free of pixel loops
 (everything is stride tricks + one matmul) and mirrors how the reference
 framework in the paper actually executes convolutions.
+
+The adjoint direction — :func:`col2im`, and the average-pooling and
+depthwise backwards — adds window patches back into a padded gradient
+with :func:`accumulate_windows`: one strided-slice ``+=`` per kernel
+offset, bit-identical to an ``np.add.at`` scatter over the index grid.
 """
 
 from __future__ import annotations
@@ -48,6 +53,27 @@ def im2col(
     return cols, (out_h, out_w)
 
 
+def accumulate_windows(dst: np.ndarray, patches: np.ndarray, stride: int) -> None:
+    """Add a ``(N, C, OH, OW, K, K)`` patch tensor into the NCHW buffer *dst*.
+
+    Element ``(ky, kx)`` of window ``(oy, ox)`` lands on
+    ``dst[:, :, oy * stride + ky, ox * stride + kx]``, so *dst* must already
+    hold the padding the windows reach into. Each kernel offset is one
+    strided-slice ``+=`` whose destinations never overlap. Offsets run in
+    descending ``(ky, kx)`` order: ``np.add.at`` over the same index grid
+    walks ``(oy, ox, ky, kx)`` in C order, which reaches the contributions
+    to any one element with ``ky``, then ``kx``, falling, so every sum
+    rounds exactly as that scatter's does (ascending order changes the low
+    bits).
+    """
+    oh, ow, k = patches.shape[2], patches.shape[3], patches.shape[4]
+    for ky in reversed(range(k)):
+        for kx in reversed(range(k)):
+            dst[:, :, ky : ky + stride * oh : stride, kx : kx + stride * ow : stride] += (
+                patches[:, :, :, :, ky, kx]
+            )
+
+
 def col2im(
     cols: np.ndarray,
     input_shape: Tuple[int, int, int, int],
@@ -58,8 +84,7 @@ def col2im(
     """Scatter-add a patch matrix back to NCHW (adjoint of :func:`im2col`).
 
     Overlapping patches accumulate, which is exactly the gradient of the
-    patch extraction. Implemented with ``np.add.at`` over a precomputed
-    index grid — no Python-level pixel loops.
+    patch extraction.
     """
     n, c, h, w = input_shape
     out_h, out_w = conv2d_output_hw((h, w), kernel, stride, padding)
@@ -69,28 +94,13 @@ def col2im(
             f"{(n * out_h * out_w, c * kernel * kernel)}"
         )
 
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-
-    # Destination row/col index for every (output position, kernel offset).
-    ky, kx = np.meshgrid(np.arange(kernel), np.arange(kernel), indexing="ij")
-    oy, ox = np.meshgrid(np.arange(out_h), np.arange(out_w), indexing="ij")
-    rows = oy[..., None, None] * stride + ky  # (OH, OW, K, K)
-    cols_idx = ox[..., None, None] * stride + kx
-
-    patches = cols.reshape(n, out_h, out_w, c, kernel, kernel)
-    # -> (N, C, OH, OW, K, K) to align with index grids.
-    patches = patches.transpose(0, 3, 1, 2, 4, 5)
-    np.add.at(
-        padded,
-        (
-            np.arange(n)[:, None, None, None, None, None],
-            np.arange(c)[None, :, None, None, None, None],
-            rows[None, None],
-            cols_idx[None, None],
-        ),
-        patches,
-    )
-
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    # An NCHW view of channels-last memory, the patch matrix's own order:
+    # each slice add then runs along C instead of along one short output
+    # row, which took a tenth off a DenseNet-BC training step on 8x8 and
+    # 4x4 maps. One copy at the end hands back contiguous NCHW.
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
+    padded = padded.transpose(0, 3, 1, 2)
+    # (N*OH*OW, C*K*K) -> (N, C, OH, OW, K, K), a view.
+    patches = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
+    accumulate_windows(padded, patches, stride)
+    return np.ascontiguousarray(padded[:, :, padding : padding + h, padding : padding + w])

@@ -109,6 +109,23 @@ class TestBackward:
         with pytest.raises(ExecutionError):
             conv.backward(np.zeros((1, 1, 2, 2), dtype=np.float32))
 
+    @pytest.mark.parametrize("prepare", [False, True])
+    @pytest.mark.parametrize("dy_shape", [(2, 6, 4, 16), (1, 6, 8, 8), (2, 5, 8, 8)])
+    def test_misshaped_dy_raises(self, prepare, dy_shape):
+        # (2, 6, 4, 16) has the output's element count, which col2im alone
+        # cannot tell apart from (2, 6, 8, 8).
+        conv = Conv2d(4, 6, 3, padding=1, seed=1)
+        x = rng(7).normal(size=(2, 4, 8, 8)).astype(np.float32)
+        if prepare:
+            conv.prepare_backward(x)
+        else:
+            conv.forward(x)
+        dy = np.zeros(dy_shape, dtype=np.float32)
+        with pytest.raises(ShapeError):
+            conv.backward_data(dy)
+        with pytest.raises(ShapeError):
+            conv.backward_weights(dy)
+
     def test_prepare_backward_equals_forward_cache(self):
         """prepare_backward must leave the same caches forward would."""
         r = rng(6)

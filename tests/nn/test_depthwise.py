@@ -100,3 +100,18 @@ class TestBackward:
     def test_backward_before_forward_raises(self):
         with pytest.raises(ExecutionError):
             DepthwiseConv2d(2, 3).backward(np.zeros((1, 2, 4, 4), dtype=np.float32))
+
+    @pytest.mark.parametrize("prepare", [False, True])
+    @pytest.mark.parametrize("dy_shape", [(2, 4, 6, 6), (1, 4, 8, 8)])
+    def test_misshaped_dy_raises(self, prepare, dy_shape):
+        dw = DepthwiseConv2d(4, 3, padding=1, seed=9)
+        x = rng(8).normal(size=(2, 4, 8, 8)).astype(np.float32)
+        if prepare:
+            dw.prepare_backward(x)
+        else:
+            dw.forward(x)
+        dy = np.zeros(dy_shape, dtype=np.float32)
+        with pytest.raises(ShapeError):
+            dw.backward_data(dy)
+        with pytest.raises(ShapeError):
+            dw.backward_weights(dy)

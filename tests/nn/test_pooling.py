@@ -58,6 +58,13 @@ class TestMaxPool:
         with pytest.raises(ShapeError):
             MaxPool2d(2)(np.zeros((4, 4), dtype=np.float32))
 
+    @pytest.mark.parametrize("dy_shape", [(2, 4, 3, 3), (1, 4, 4, 4), (2, 4, 2, 8)])
+    def test_misshaped_dy_raises(self, dy_shape):
+        mp = MaxPool2d(2)
+        mp(rng(7).normal(size=(2, 4, 8, 8)).astype(np.float32))
+        with pytest.raises(ShapeError):
+            mp.backward(np.zeros(dy_shape, dtype=np.float32))
+
 
 class TestAvgPool:
     def test_values(self):
@@ -88,6 +95,15 @@ class TestAvgPool:
         ap = AvgPool2d(2, stride=2, ceil_mode=True)
         assert ap(np.zeros((1, 1, 7, 7), dtype=np.float32)).shape == (1, 1, 4, 4)
 
+    @pytest.mark.parametrize("dy_shape", [(2, 4, 3, 3), (1, 4, 4, 4), (2, 4, 2, 8)])
+    def test_misshaped_dy_raises(self, dy_shape):
+        # (2, 4, 3, 3) windows fit inside the 8x8 gradient: only the shape
+        # check can reject them.
+        ap = AvgPool2d(2)
+        ap(rng(7).normal(size=(2, 4, 8, 8)).astype(np.float32))
+        with pytest.raises(ShapeError):
+            ap.backward(np.zeros(dy_shape, dtype=np.float32))
+
 
 class TestGlobalAvgPool:
     def test_values_and_shape(self):
@@ -102,3 +118,11 @@ class TestGlobalAvgPool:
         y = gap(x)
         dx = gap.backward(np.ones_like(y))
         np.testing.assert_allclose(dx, 1.0 / 16)
+
+    @pytest.mark.parametrize("dy_shape", [(1, 3, 1, 1), (2, 3, 4, 4)])
+    def test_misshaped_dy_raises(self, dy_shape):
+        # Both shapes broadcast to the input's, so only the check stops them.
+        gap = GlobalAvgPool2d()
+        gap(rng(6).normal(size=(2, 3, 4, 4)).astype(np.float32))
+        with pytest.raises(ShapeError):
+            gap.backward(np.zeros(dy_shape, dtype=np.float32))

@@ -1,32 +1,12 @@
-"""Concurrency analysis: static lock-discipline rules + runtime sanitizer.
+"""Concurrency analysis: the static lock-discipline rules.
 
-Two cooperating halves over one shared lock-order graph model
-(:mod:`repro.analysis.concurrency.order`):
-
-* :mod:`repro.analysis.concurrency.static` — the ``REPRO-C`` lint family
-  (lock-order inversions, blocking calls under locks / in async bodies,
-  fork-with-held-locks), wired into ``python -m repro.lint``;
-* :mod:`repro.analysis.concurrency.sanitizer` — ``REPRO_SANITIZE=1``
-  instrumentation around the runtime's real locks, detecting inversions
-  online and dumping the merged graph as a JSON artifact.
+:mod:`repro.analysis.concurrency.static` holds the ``REPRO-C`` lint
+family (nested lock acquisition, blocking calls under locks / in async
+bodies, fork-with-held-locks), wired into ``python -m repro.lint``.
 
 See the "Concurrency analysis" section of docs/analysis.md.
 """
 
-from repro.analysis.concurrency.order import LockOrderGraph
-from repro.analysis.concurrency.static import (
-    CFinding,
-    build_lock_order_graph,
-    file_findings,
-    in_scope,
-    program_findings,
-)
+from repro.analysis.concurrency.static import CFinding, file_findings, in_scope
 
-__all__ = [
-    "CFinding",
-    "LockOrderGraph",
-    "build_lock_order_graph",
-    "file_findings",
-    "in_scope",
-    "program_findings",
-]
+__all__ = ["CFinding", "file_findings", "in_scope"]

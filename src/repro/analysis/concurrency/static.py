@@ -1,17 +1,16 @@
 """Static lock-discipline analysis: the ``REPRO-C`` lint family.
 
-Builds a whole-program lock-acquisition graph over the concurrent layers
-(``sweep/``, ``serve/``, ``faults/``) from stdlib ``ast`` alone and checks
-it against the discipline the runtime relies on (docs/sweeps.md,
-docs/serving.md):
+Per-file rules over the concurrent layers (``sweep/``, ``serve/``,
+``faults/``), from stdlib ``ast`` alone, checking the discipline the
+runtime relies on (docs/sweeps.md, docs/serving.md):
 
 =============  ==============================================================
-REPRO-C001     potential lock-order inversion: a cycle in the whole-program
-               lock-acquisition graph (lockdep's invariant, applied
-               lexically)
+REPRO-C001     nested lock acquisition: a lock taken while another is held,
+               directly or through a call to a same-module function that
+               takes one — with no nesting, lock order cannot form a cycle
 REPRO-C002     blocking call (``time.sleep``, file I/O, ``fcntl.flock``)
                while holding a lock — stalls every thread contending the
-               stripe
+               lock
 REPRO-C003     blocking call in an ``async def`` body — stalls the whole
                event loop (serve/ is loop-confined by design)
 REPRO-C004     fork / pool dispatch while holding a lock — a forked child
@@ -20,32 +19,26 @@ REPRO-C004     fork / pool dispatch while holding a lock — a forked child
 
 Lock identification is lexical: a ``with`` (or ``async with``) whose
 context expression's terminal name looks lock-ish (``lock``, ``stripe``,
-``mutex``, ``semaphore``), a subscript into such a table
-(``self._stripes[shard]``), an alias assigned from either, a call to a
-method that itself acquires locks (``with self._shard_lock(s):`` — the
-callee's transitively-acquired set counts as held in the body), or a
-direct ``fcntl.flock`` call (held for the remainder of its lexical block).
-Lock ids are stable strings, ``<module>:<qualifier>`` — e.g.
-``sweep.persist:PersistentCache._stripes`` — chosen to match the names the
-runtime sanitizer uses, so the static graph and the runtime artifact are
-directly comparable.
+``mutex``, ``semaphore``) — including a lock-returning call such as
+``with self._shard_lock(s):`` — a subscript into such a table
+(``self._locks[i]``), an alias assigned from either, or a direct
+``fcntl.flock`` call (held for the remainder of its lexical block).
+Findings name locks as ``<module>:<qualifier>``, e.g.
+``sweep.cache:GraphCache._lock``.
 
-The analysis is interprocedural over a conservative call resolution
-(``self.m()`` within the class, bare names within the module,
-``mod.f()`` across analyzed modules) with a fixpoint over
-transitively-acquired lock sets. Unresolvable calls are ignored — this is
-a *potential*-inversion detector with no false-negative guarantee, the
-runtime sanitizer is the dynamic backstop.
+C001 resolves calls within the file only — ``self.m()`` to a method of
+the enclosing class, a bare ``f()`` to a function of the module — and
+flags the call when the callee's own body takes a lock. It does not
+follow calls into other modules, or through a callee into a further
+call; unresolvable calls are ignored.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, \
-    Sequence, Set, Tuple
-
-from repro.analysis.concurrency.order import LockOrderGraph
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, \
+    Tuple
 
 #: Package-relative path prefixes the concurrency rules cover.
 SCOPE_PREFIXES = ("sweep/", "serve/", "faults/")
@@ -117,40 +110,37 @@ def _dotted(expr: ast.expr) -> str:
 class _Acq(NamedTuple):
     lock: str
     line: int
-    held: Tuple[object, ...]  # lock ids and ("call", module, cls, dotted)
+    held: Tuple[str, ...]
 
 
 class _CallEv(NamedTuple):
     dotted: str
     recv: str  # dotted minus the terminal attribute ("" for bare names)
     line: int
-    held: Tuple[object, ...]
+    held: Tuple[str, ...]
 
 
 class _FuncInfo:
-    def __init__(self, key: Tuple[str, Optional[str], str], relpath: str,
-                 name: str, is_async: bool) -> None:
-        self.key = key
-        self.relpath = relpath
+    def __init__(self, name: str, is_async: bool) -> None:
         self.name = name
         self.is_async = is_async
         self.acqs: List[_Acq] = []
         self.calls: List[_CallEv] = []
 
 
-_FuncTable = Dict[Tuple[str, Optional[str], str], _FuncInfo]
+#: (class name or ``None``, function name) -> what its body does.
+_FuncTable = Dict[Tuple[Optional[str], str], _FuncInfo]
 
 
-def _key_sort(key: Tuple[str, Optional[str], str]) -> Tuple[str, str, str]:
-    return (key[0], key[1] or "", key[2])
+def _key_sort(key: Tuple[Optional[str], str]) -> Tuple[str, str]:
+    return (key[0] or "", key[1])
 
 
 def _analyze_function(fn: ast.AST, module: str, cls: Optional[str],
-                      relpath: str, out: _FuncTable) -> None:
+                      out: _FuncTable) -> None:
     assert isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-    key = (module, cls, fn.name)
-    info = _FuncInfo(key, relpath, fn.name,
-                     isinstance(fn, ast.AsyncFunctionDef))
+    key = (cls, fn.name)
+    info = _FuncInfo(fn.name, isinstance(fn, ast.AsyncFunctionDef))
     if key not in out:  # first definition wins (nested shadows are rare)
         out[key] = info
     aliases: Dict[str, str] = {}
@@ -177,7 +167,7 @@ def _analyze_function(fn: ast.AST, module: str, cls: Optional[str],
             return lock_id_of(expr.func)
         return None
 
-    def record_calls(expr: ast.expr, held: Tuple[object, ...]) -> List[int]:
+    def record_calls(expr: ast.expr, held: Tuple[str, ...]) -> List[int]:
         """Record every call inside *expr*; return flock-call line numbers."""
         flock_lines: List[int] = []
         for node in ast.walk(expr):
@@ -213,23 +203,23 @@ def _analyze_function(fn: ast.AST, module: str, cls: Optional[str],
                     elif v.__class__.__name__ == "match_case":
                         yield v.body  # type: ignore[union-attr]
 
-    def note_flocks(lines: List[int], held: List[object]) -> None:
+    def note_flocks(lines: List[int], held: List[str]) -> None:
         for line in lines:
             info.acqs.append(_Acq(flock_id, line, tuple(held)))
             if flock_id not in held:
                 held.append(flock_id)
 
     def visit_block(stmts: Sequence[ast.stmt],
-                    held_in: Sequence[object]) -> None:
-        held: List[object] = list(held_in)
+                    held_in: Sequence[str]) -> None:
+        held: List[str] = list(held_in)
         for stmt in stmts:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                _analyze_function(stmt, module, cls, relpath, out)
+                _analyze_function(stmt, module, cls, out)
                 continue
             if isinstance(stmt, ast.ClassDef):
                 continue
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                inner: List[object] = list(held)
+                inner: List[str] = list(held)
                 for item in stmt.items:
                     note_flocks(record_calls(item.context_expr, tuple(inner)),
                                 inner)
@@ -238,10 +228,6 @@ def _analyze_function(fn: ast.AST, module: str, cls: Optional[str],
                         info.acqs.append(
                             _Acq(lid, item.context_expr.lineno, tuple(inner)))
                         inner.append(lid)
-                        if isinstance(item.context_expr, ast.Call):
-                            d = _dotted(item.context_expr.func)
-                            if d:
-                                inner.append(("call", module, cls, d))
                 visit_block(stmt.body, inner)
                 continue
             if isinstance(stmt, ast.Assign):
@@ -258,159 +244,71 @@ def _analyze_function(fn: ast.AST, module: str, cls: Optional[str],
     visit_block(fn.body, ())
 
 
-def _collect_module(relpath: str, tree: ast.Module, out: _FuncTable) -> None:
+def _collect_module(relpath: str, tree: ast.Module) -> _FuncTable:
     module = _module_of(relpath)
+    funcs: _FuncTable = {}
 
     def walk(body: Sequence[ast.stmt], cls: Optional[str]) -> None:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                _analyze_function(node, module, cls, relpath, out)
+                _analyze_function(node, module, cls, funcs)
             elif isinstance(node, ast.ClassDef):
                 walk(node.body, node.name)
 
     walk(tree.body, None)
-
-
-# -- interprocedural resolution ------------------------------------------------
-
-def _resolve(funcs: _FuncTable, module: str, cls: Optional[str],
-             dotted: str) -> List[Tuple[str, Optional[str], str]]:
-    parts = dotted.split(".")
-    if parts[0] == "self" and len(parts) == 2 and cls:
-        key = (module, cls, parts[1])
-        return [key] if key in funcs else []
-    if len(parts) == 1:
-        key = (module, None, parts[0])
-        if key in funcs:
-            return [key]
-        if cls and (module, cls, parts[0]) in funcs:
-            return [(module, cls, parts[0])]
-        return []
-    # ``mod.f()`` — match an analyzed module by its terminal component.
-    recv, name = parts[0], parts[-1]
-    return sorted((k for k in funcs
-                   if k[1] is None and k[2] == name
-                   and (k[0] == recv or k[0].rsplit(".", 1)[-1] == recv)),
-                  key=_key_sort)
-
-
-def _acquired_fixpoint(funcs: _FuncTable) \
-        -> Dict[Tuple[str, Optional[str], str], Set[str]]:
-    acquired = {key: {a.lock for a in f.acqs} for key, f in funcs.items()}
-    resolved: Dict[Tuple[Tuple[str, Optional[str], str], str],
-                   List[Tuple[str, Optional[str], str]]] = {}
-    for key, f in funcs.items():
-        for call in f.calls:
-            resolved.setdefault(
-                (key, call.dotted),
-                _resolve(funcs, key[0], key[1], call.dotted))
-    changed = True
-    while changed:
-        changed = False
-        for key, f in funcs.items():
-            for call in f.calls:
-                for callee in resolved[(key, call.dotted)]:
-                    extra = acquired[callee] - acquired[key]
-                    if extra:
-                        acquired[key] |= extra
-                        changed = True
-    return acquired
-
-
-def _expand_held(held: Sequence[object], funcs: _FuncTable,
-                 acquired: Dict[Tuple[str, Optional[str], str], Set[str]]) \
-        -> List[str]:
-    out: List[str] = []
-    for entry in held:
-        if isinstance(entry, str):
-            if entry not in out:
-                out.append(entry)
-            continue
-        _, module, cls, dotted = entry  # type: ignore[misc]
-        for callee in _resolve(funcs, module, cls, dotted):
-            for lock in sorted(acquired[callee]):
-                if lock not in out:
-                    out.append(lock)
-    return out
-
-
-# -- the graph and the rules ---------------------------------------------------
-
-def collect_functions(trees: Mapping[str, ast.Module]) -> _FuncTable:
-    funcs: _FuncTable = {}
-    for relpath in sorted(trees):
-        if in_scope(relpath):
-            _collect_module(relpath, trees[relpath], funcs)
     return funcs
 
 
-def build_lock_order_graph(trees: Mapping[str, ast.Module]) -> LockOrderGraph:
-    """Whole-program static lock-acquisition graph over the scoped trees."""
-    funcs = collect_functions(trees)
-    acquired = _acquired_fixpoint(funcs)
-    graph = LockOrderGraph()
-    for key in sorted(funcs, key=_key_sort):
-        f = funcs[key]
-        for acq in f.acqs:
-            graph.add_node(acq.lock)
-            for held in _expand_held(acq.held, funcs, acquired):
-                if held != acq.lock:
-                    graph.add_edge(held, acq.lock, {
-                        "path": f.relpath, "line": acq.line,
-                        "function": f.name})
-        for call in f.calls:
-            for callee in _resolve(funcs, key[0], key[1], call.dotted):
-                for lock in sorted(acquired[callee]):
-                    for held in _expand_held(call.held, funcs, acquired):
-                        if held != lock:
-                            graph.add_edge(held, lock, {
-                                "path": f.relpath, "line": call.line,
-                                "function": f.name,
-                                "via": call.dotted})
-    return graph
+def _callee(funcs: _FuncTable, cls: Optional[str],
+            dotted: str) -> Optional[_FuncInfo]:
+    """The same-module function a call resolves to, if any.
+
+    ``self.m()`` is a method of the enclosing class; a bare ``f()`` is a
+    module function, or else a closure defined inside a method of the
+    enclosing class (closures are collected under their class).
+    """
+    parts = dotted.split(".")
+    if len(parts) == 2 and parts[0] == "self" and cls:
+        return funcs.get((cls, parts[1]))
+    if len(parts) == 1:
+        return funcs.get((None, dotted)) or funcs.get((cls, dotted))
+    return None
 
 
-def program_findings(trees: Mapping[str, ast.Module]) -> List[CFinding]:
-    """REPRO-C001: cycles in the whole-program lock-acquisition graph."""
-    graph = build_lock_order_graph(trees)
-    findings: List[CFinding] = []
-    for cycle in graph.cycles():
-        hops = []
-        for i, src in enumerate(cycle):
-            dst = cycle[(i + 1) % len(cycle)]
-            sites = graph.edge_sites(src, dst)
-            at = ""
-            if sites:
-                site = sites[0]
-                at = f" ({site['path']}:{site['line']} in {site['function']})"
-            hops.append(f"{src} -> {dst}{at}")
-        first = graph.edge_sites(cycle[0], cycle[(1) % len(cycle)])
-        path = str(first[0]["path"]) if first else "<program>"
-        line = int(first[0]["line"]) if first else 0  # type: ignore[arg-type]
-        findings.append(CFinding(
-            "REPRO-C001", path, line, " -> ".join(cycle),
-            "potential lock-order inversion (cycle in the static "
-            "lock-acquisition graph): " + "; ".join(hops)))
-    return findings
-
+# -- the rules -----------------------------------------------------------------
 
 def file_findings(relpath: str, tree: ast.Module) -> List[CFinding]:
-    """Per-file rules REPRO-C002/C003/C004 (C001 needs the whole program)."""
+    """The REPRO-C rules for one file (none outside the scoped layers)."""
     if not in_scope(relpath):
         return []
-    funcs: _FuncTable = {}
-    _collect_module(relpath, tree, funcs)
+    funcs = _collect_module(relpath, tree)
     findings: List[CFinding] = []
     for key in sorted(funcs, key=_key_sort):
         f = funcs[key]
+        nested: Dict[int, CFinding] = {}  # one C001 per line
+        for acq in f.acqs:
+            if acq.held:
+                nested.setdefault(acq.line, CFinding(
+                    "REPRO-C001", relpath, acq.line, f.name,
+                    f"acquires {acq.lock} while holding "
+                    f"{', '.join(acq.held)} — nested lock acquisition "
+                    f"(take one lock at a time, docs/analysis.md)"))
         for call in f.calls:
+            callee = _callee(funcs, key[0], call.dotted)
+            if call.held and callee is not None and callee.acqs:
+                nested.setdefault(call.line, CFinding(
+                    "REPRO-C001", relpath, call.line, f.name,
+                    f"{call.dotted}() acquires {callee.acqs[0].lock} "
+                    f"while the caller holds {', '.join(call.held)} — "
+                    f"nested lock acquisition (take one lock at a time, "
+                    f"docs/analysis.md)"))
             blocking = _is_blocking(call)
             forking = _is_forking(call)
             if blocking and call.held:
                 findings.append(CFinding(
                     "REPRO-C002", relpath, call.line, f.name,
                     f"blocking call {call.dotted}() while holding "
-                    f"{_describe_held(call.held)} — stalls every thread "
+                    f"{', '.join(call.held)} — stalls every thread "
                     f"contending the lock"))
             if (blocking or forking) and f.is_async:
                 findings.append(CFinding(
@@ -422,14 +320,10 @@ def file_findings(relpath: str, tree: ast.Module) -> List[CFinding]:
                 findings.append(CFinding(
                     "REPRO-C004", relpath, call.line, f.name,
                     f"{call.dotted}() forks/dispatches to a worker pool "
-                    f"while holding {_describe_held(call.held)} — a forked "
+                    f"while holding {', '.join(call.held)} — a forked "
                     f"child inherits the lock state and can deadlock"))
+        findings.extend(nested.values())
     return findings
-
-
-def _describe_held(held: Sequence[object]) -> str:
-    names = [e if isinstance(e, str) else f"{e[3]}()" for e in held]
-    return ", ".join(names)
 
 
 def _is_blocking(call: _CallEv) -> bool:

@@ -14,17 +14,14 @@ REPRO-DET001   unseeded randomness in ``sweep/`` / ``faults/`` (global
 REPRO-DET002   wall-clock reads (``time.time``, ``datetime.now`` ...) in
                ``sweep/`` / ``faults/`` — same rail; ``monotonic``/``sleep``
                stay legal
-REPRO-LOCK001  ``fcntl.flock`` acquired outside a ``with`` on the stripe
-               RLock (``self._stripes[...]``) — the documented shard-lock
-               discipline of ``sweep/persist.py``
 REPRO-ALLOC001 full-tensor temporary in a blocked/fused kernel hot path
                (``np.*_like``, ``np.empty(x.shape)``, or an elementwise
                ufunc without ``out=``)
 REPRO-META001  stale allowlist entry (matches nothing; reported under
                ``--strict`` so suppressions cannot outlive their code)
-REPRO-C001     potential lock-order inversion — a cycle in the whole-program
-               lock-acquisition graph over ``sweep/``/``serve/``/``faults/``
-               (:mod:`repro.analysis.concurrency.static`)
+REPRO-C001     nested lock acquisition in ``sweep/``/``serve/``/``faults/``:
+               a lock taken while another is held, directly or through a
+               same-module call (:mod:`repro.analysis.concurrency.static`)
 REPRO-C002     blocking call (``time.sleep``, file I/O, ``fcntl.flock``)
                while holding a lock
 REPRO-C003     blocking call inside an ``async def`` body (the serve/ event
@@ -293,60 +290,6 @@ def _rule_det(relpath: str, tree: ast.Module,
                 f"{dotted}() reads the wall clock (determinism rail)"))
 
 
-def _rule_lock001(relpath: str, tree: ast.Module,
-                  findings: List[LintFinding]) -> None:
-    if not relpath.startswith("sweep/"):
-        return
-
-    # Names assigned from ``self._stripes[...]`` — the stripe RLocks.
-    stripe_names: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and _is_stripe_lookup(node.value):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    stripe_names.add(target.id)
-
-    parents: Dict[ast.AST, ast.AST] = {}
-    for parent in ast.walk(tree):
-        for child in ast.iter_child_nodes(parent):
-            parents[child] = parent
-
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if _dotted(node.func) != "fcntl.flock":
-            continue
-        if not _stripe_guarded(node, parents, stripe_names):
-            findings.append(LintFinding(
-                "REPRO-LOCK001", relpath, node.lineno, "",
-                "fcntl.flock acquired outside a `with` on the stripe RLock "
-                "(self._stripes[...]) — violates the shard-lock discipline "
-                "(thread lock before file lock, docs/sweeps.md)"))
-
-
-def _is_stripe_lookup(expr: ast.expr) -> bool:
-    return (isinstance(expr, ast.Subscript)
-            and isinstance(expr.value, ast.Attribute)
-            and expr.value.attr == "_stripes")
-
-
-def _stripe_guarded(call: ast.Call, parents: Dict[ast.AST, ast.AST],
-                    stripe_names: Set[str]) -> bool:
-    node: ast.AST = call
-    while node in parents:
-        node = parents[node]
-        if isinstance(node, ast.With):
-            for item in node.items:
-                ctx = item.context_expr
-                if isinstance(ctx, ast.Name) and ctx.id in stripe_names:
-                    return True
-                if _is_stripe_lookup(ctx):
-                    return True
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return False  # lexical scope ends at the enclosing function
-    return False
-
-
 def _rule_alloc001(relpath: str, tree: ast.Module,
                    findings: List[LintFinding]) -> None:
     if relpath not in ALLOC_SCOPE:
@@ -379,22 +322,13 @@ def _rule_alloc001(relpath: str, tree: ast.Module,
 
 def _rule_concurrency(relpath: str, tree: ast.Module,
                       findings: List[LintFinding]) -> None:
-    """Per-file half of the REPRO-C family (C002/C003/C004).
-
-    C001 needs the whole program and runs from :func:`run_lint` via
-    :func:`repro.analysis.concurrency.static.program_findings`.
-    """
+    """The REPRO-C family (C001-C004)."""
     for c in _concurrency.file_findings(relpath, tree):
         findings.append(LintFinding(*c))
 
 
-#: Per-file rules, run by :func:`lint_source`. Whole-program rules
-#: (:data:`_PROGRAM_RULES`) run once per :func:`run_lint` over every
-#: concurrency-scoped tree the walk collected.
-_RULES = (_rule_k001, _rule_det, _rule_lock001, _rule_alloc001,
-          _rule_concurrency)
-
-_PROGRAM_RULES = (_concurrency.program_findings,)
+#: The rules :func:`lint_source` runs over every file.
+_RULES = (_rule_k001, _rule_det, _rule_alloc001, _rule_concurrency)
 
 
 # -- driving -------------------------------------------------------------------
@@ -504,7 +438,6 @@ def run_lint(root: Optional[Path] = None,
     report = LintReport(strict=strict)
     wanted = _normalize_paths(root, paths) if paths else None
     matched: set = set()
-    scoped_sources: Dict[str, str] = {}
     for py in sorted(root.rglob("*.py")):
         relparts = py.relative_to(root).parts
         if any(part in SKIP_DIRS for part in relparts[:-1]):
@@ -527,24 +460,8 @@ def run_lint(root: Optional[Path] = None,
             raise ValueError(
                 f"cannot parse {relpath}: line {exc.lineno}: "
                 f"{exc.msg}") from exc
-        if _concurrency.in_scope(relpath):
-            scoped_sources[relpath] = source
         _apply_allowlist(findings, entries)
         report.findings.extend(findings)
-
-    # Whole-program rules see every concurrency-scoped file the walk kept
-    # (a path-restricted run analyzes just that slice); suppression works
-    # exactly like the per-file rules.
-    trees = {rp: ast.parse(src, filename=rp)
-             for rp, src in scoped_sources.items()}
-    for program_rule in _PROGRAM_RULES:
-        program = [LintFinding(*c) for c in program_rule(trees)]
-        for f in program:
-            _apply_inline_allows(
-                [f], _inline_allows(
-                    scoped_sources.get(f.path, "").splitlines()))
-        _apply_allowlist(program, entries)
-        report.findings.extend(program)
 
     if wanted is not None:
         missing = [w for w in wanted if w not in matched]

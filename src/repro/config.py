@@ -131,33 +131,6 @@ def verify_graphs_enabled() -> bool:
     return _env_flag(VERIFY_GRAPHS_ENV)
 
 
-#: Environment switch for the runtime lock-order sanitizer
-#: (:mod:`repro.analysis.concurrency.sanitizer`). When truthy, the
-#: instrumented lock wrappers in the sweep/serve runtime record every
-#: acquisition into the process-wide lock-order graph and raise
-#: :class:`repro.errors.LockOrderError` on an acquisition that would
-#: close a cycle. Tests turn it on (``tests/conftest.py``); production
-#: sweeps leave it off so the hot path pays one env read per acquire.
-SANITIZE_ENV = "REPRO_SANITIZE"
-
-
-def sanitize_enabled() -> bool:
-    """Whether the lock-order sanitizer is on (see :func:`_env_flag`)."""
-    return _env_flag(SANITIZE_ENV)
-
-
-#: Where the sanitizer dumps its merged lock-order graph at process exit
-#: (JSON, format documented in docs/analysis.md). Unset means no artifact;
-#: multiple processes (fork-pool workers and the parent) merge into the
-#: same file under an flock-serialized atomic replace.
-SANITIZE_ARTIFACT_ENV = "REPRO_SANITIZE_ARTIFACT"
-
-
-def sanitize_artifact_path() -> str | None:
-    """The configured lock-order-graph artifact path, or ``None``."""
-    return os.environ.get(SANITIZE_ARTIFACT_ENV) or None
-
-
 #: Environment hook for the deterministic fault-injection harness
 #: (:mod:`repro.faults`). When set, it holds a JSON-serialized
 #: ``FaultPlan``; the sweep runner's pool-worker initializer installs it,

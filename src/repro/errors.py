@@ -86,28 +86,6 @@ class SweepExecutionError(ReproError):
         return (type(self), (self.args[0], self.cell_keys, self.report))
 
 
-class LockOrderError(ReproError):
-    """The runtime lock-order sanitizer detected a potential deadlock.
-
-    Raised by :mod:`repro.analysis.concurrency.sanitizer` when an
-    acquisition would close a cycle in the process-wide lock-order graph.
-    ``cycle`` names the lock classes along the cycle; ``stacks`` carries
-    two formatted stacks — the current acquisition and the previously
-    recorded opposing edge — so the inversion is debuggable from the
-    message alone. Detection happens *before* the inner lock is taken, so
-    the inversion surfaces as this error rather than a hung test.
-    """
-
-    def __init__(self, message: str, cycle=(), stacks=()):
-        super().__init__(message)
-        self.cycle = tuple(cycle)
-        self.stacks = tuple(stacks)
-
-    def __reduce__(self):
-        # Explicit recipe so the error survives multiprocessing queues.
-        return (type(self), (self.args[0], self.cycle, self.stacks))
-
-
 class CellPricingError(SweepExecutionError):
     """Pricing one cell raised; ``cell_keys`` names the cell(s) affected.
 

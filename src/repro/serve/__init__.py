@@ -19,8 +19,9 @@ this package serves that capability to many concurrent clients:
   all of the above share.
 
 Start one from the CLI: ``python -m repro.experiments serve --workers 4``.
-The underlying cache directory is multi-process safe (sharded,
-lock-striped — see ``docs/serving.md`` for the cache-sharing contract).
+The underlying cache directory is multi-process safe (sharded, one
+``flock`` per shard — see ``docs/serving.md`` for the cache-sharing
+contract).
 """
 
 from repro.serve.client import RetryLater, ServingClient, ServingError

@@ -47,12 +47,12 @@ comes from coalescing and the cache, not from concurrent builds), and
 the underlying :class:`~repro.sweep.GraphCache`/
 :class:`~repro.sweep.PersistentCache` are safe if raised.
 
-Both halves of that discipline are machine-checked (docs/analysis.md):
-the ``REPRO-C003`` lint rule rejects blocking calls in the ``async def``
-bodies here, and the cache locks the executor threads do contend on are
-instrumented by the runtime lock-order sanitizer (``REPRO_SANITIZE=1``),
-so a future lock added above the cache would surface as a lock-order
-finding rather than a rare production deadlock.
+Both halves of that discipline are lint-checked (docs/analysis.md): the
+``REPRO-C003`` rule rejects blocking calls in the ``async def`` bodies
+here, and ``REPRO-C001`` rejects any lock taken while another is held
+in the modules the executor threads run (within one module: calls into
+another module are not followed), so the cache locks they contend on
+cannot be nested into a lock-order deadlock.
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ import threading
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Mapping, Optional, Union
 
-from repro.analysis.concurrency import sanitizer
 from repro.graph.graph import LayerGraph
 from repro.models.registry import build_model
 from repro.passes.scenarios import apply_scenario
@@ -125,9 +124,9 @@ class GraphCache:
     observe a half-inserted entry. Computes themselves run *outside*
     the lock: two threads missing the same key may both compute, but
     the results are content-identical, so the race costs time, never
-    correctness. The lock is sanitizer-instrumented (``REPRO_SANITIZE``,
-    docs/analysis.md) so any future nesting against the persist-tier
-    stripes shows up in the lock-order graph.
+    correctness. The lock guards in-memory bookkeeping only and is never
+    held across a compute or a call into the disk tier, so it never
+    nests with the persist-tier shard locks.
     """
 
     persist: Optional[PersistentCache] = None
@@ -136,10 +135,8 @@ class GraphCache:
     _costs: Dict[str, IterationCost] = field(default_factory=dict)
     _node_counts: Dict[str, int] = field(default_factory=dict)
     stats: CacheStats = field(default_factory=CacheStats)
-    _lock: sanitizer.SanitizedLock = field(
-        default_factory=lambda: sanitizer.SanitizedLock(
-            "sweep.cache:GraphCache._lock"),
-        init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  init=False, repr=False, compare=False)
 
     def _load_verified_graph(self, key: str) -> Optional[LayerGraph]:
         """Disk-tier graph load, gated by the static verifier.

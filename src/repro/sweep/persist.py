@@ -26,18 +26,20 @@ Design constraints, in order:
 3. **Safe under concurrency — many readers, many writers, many
    processes.** The directory is **sharded by key prefix**
    (``costs/<shard>/<key>.pkl``, 16 shards per kind) and every
-   publication or eviction runs under that shard's **striped lock**: a
-   per-process ``threading`` lock plus — where the platform has it — an
-   ``fcntl.flock`` on ``locks/<shard>.lock``, so threads *and* separate
-   processes sharing one cache directory serialize per shard, never
-   globally. Writes still go to a temp file and publish with
-   :func:`os.replace` (readers never observe a partial file, and reads
-   need no lock at all), and GC re-checks an entry's mtime under the
-   shard lock immediately before unlinking so a concurrently-touched
-   (hot) entry is never evicted on a stale scan. A store that finds its
-   entry already published re-touches the file's mtime — exactly like a
-   load — so an entry hot across many writer processes cannot look
-   LRU-stale to a concurrent GC.
+   publication or eviction runs under that shard's lock: an
+   ``fcntl.flock`` on ``locks/<shard>.lock``, taken through a file
+   descriptor opened for that one call. ``flock`` excludes separate open
+   file descriptions even within one process, so this single lock
+   serializes threads *and* separate processes sharing one cache
+   directory — per shard, never globally. Writes still go to a temp
+   file and publish with :func:`os.replace` (readers never observe a
+   partial file, and reads need no lock at all), and GC re-checks an
+   entry's mtime under the shard lock immediately before unlinking so a
+   concurrently-touched (hot) entry is never evicted on a stale scan. A
+   store that finds its entry already published re-touches the file's
+   mtime — exactly like a load — so an entry hot across many writer
+   processes cannot look LRU-stale to a concurrent GC. The disk tier
+   therefore needs POSIX ``flock``.
 4. **Bounded.** Content-keyed files accumulate across grids forever
    unless told otherwise: with ``max_bytes`` / ``max_entries`` set,
    :meth:`PersistentCache.gc` evicts least-recently-*used* entries (every
@@ -53,6 +55,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import os
 import pickle
@@ -66,14 +69,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import faults
-from repro.analysis.concurrency import sanitizer
 from repro.graph.graph import LayerGraph
 from repro.perf.report import IterationCost
-
-try:  # pragma: no cover - always present on the POSIX CI/dev platforms
-    import fcntl
-except ImportError:  # pragma: no cover - Windows: in-process locks only
-    fcntl = None  # type: ignore[assignment]
 
 #: Bumped on any incompatible change to the entry layout or to the
 #: pickled payload types; old files then read as misses, not errors.
@@ -103,25 +100,6 @@ _LOCK_DIR = "locks"
 #: :meth:`PersistentCache.gc` passes (see ``gc_interval``).
 _GC_STORE_INTERVAL = 64
 
-#: In-process stripe locks, shared by every :class:`PersistentCache`
-#: instance over the same directory (a server session, its pool workers
-#: pre-fork, and any directly-constructed cache must contend on the same
-#: locks, not per-instance ones). Entries for cache roots whose directory
-#: has since been deleted are evicted on the next lookup (see
-#: :func:`_stripes_for`), so a long-lived server cycling tmp cache dirs
-#: cannot leak one stripe list per dir forever.
-#:
-#: Lock names below are the sanitizer's lock-class ids; they match the
-#: static analyzer's naming (docs/analysis.md) so the runtime lock-order
-#: artifact is directly comparable with the lexical graph.
-_STRIPE_LOCK_NAME = "sweep.persist:PersistentCache._stripes"
-_STATS_LOCK_NAME = "sweep.persist:PersistentCache._stats_lock"
-_FLOCK_LOCK_NAME = "sweep.persist:flock"
-_STRIPE_REGISTRY: Dict[str, List[sanitizer.SanitizedLock]] = {}
-_REGISTRY_LOCK = sanitizer.SanitizedLock(
-    "sweep.persist:_REGISTRY_LOCK", threading.Lock())
-
-
 def shard_for(key: str) -> str:
     """The shard (one hex character) a key's entry lives under.
 
@@ -133,24 +111,6 @@ def shard_for(key: str) -> str:
     if c and c in string.hexdigits:
         return c
     return format(zlib.crc32(key.encode("utf-8")) & (NUM_SHARDS - 1), "x")
-
-
-def _stripes_for(root: str) -> List[sanitizer.SanitizedLock]:
-    with _REGISTRY_LOCK:
-        # Evict stripes of roots whose directory is gone: a live cache
-        # implies an existing root (``__post_init__`` creates it), so a
-        # missing directory means every cache over it is done and its
-        # stripes can never again guard anything. Never evict the root
-        # being requested — its directory may race with this lookup.
-        for stale in [r for r in _STRIPE_REGISTRY
-                      if r != root and not os.path.isdir(r)]:
-            del _STRIPE_REGISTRY[stale]
-        locks = _STRIPE_REGISTRY.get(root)
-        if locks is None:
-            locks = [sanitizer.SanitizedLock(_STRIPE_LOCK_NAME)
-                     for _ in range(NUM_SHARDS)]
-            _STRIPE_REGISTRY[root] = locks
-        return locks
 
 
 @dataclass
@@ -178,7 +138,7 @@ class PersistentCache:
 
     Every entry is a single file ``<kind-dir>/<shard>/<key>.pkl`` —
     sharded by key prefix so concurrent writers and GC contend on
-    per-shard striped locks, never one global lock — holding a pickled
+    per-shard locks, never one global lock — holding a pickled
     envelope ``{format, kind, key, sha256, payload}`` where ``payload``
     is the pickled object and ``sha256`` its checksum. Loads validate
     the whole envelope and return ``None`` on any mismatch.
@@ -203,10 +163,9 @@ class PersistentCache:
     _stores_since_gc: int = field(default=0, init=False, repr=False)
     _store_degraded_until: float = field(default=0.0, init=False, repr=False)
     _store_warned: bool = field(default=False, init=False, repr=False)
-    _stats_lock: sanitizer.SanitizedLock = field(
-        default_factory=lambda: sanitizer.SanitizedLock(
-            _STATS_LOCK_NAME, threading.Lock()),
-        init=False, repr=False, compare=False
+    _stats_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False,
+        compare=False
     )
 
     def __post_init__(self) -> None:
@@ -225,45 +184,30 @@ class PersistentCache:
             raise ValueError(
                 f"store_retry_s must be >= 0, got {self.store_retry_s}"
             )
-        # Create the root eagerly so "directory exists" is a faithful
-        # liveness signal for the stripe-registry eviction above (stores
-        # would create it lazily anyway). Best-effort: an uncreatable
-        # root degrades to compute-only on the store side, never fatal.
-        with contextlib.suppress(OSError):
-            os.makedirs(self.root, exist_ok=True)
-        self._stripes = _stripes_for(self.root)
 
     # -- paths ---------------------------------------------------------------
     def path_for(self, kind: str, key: str) -> str:
         return os.path.join(self.root, _KIND_DIRS[kind], shard_for(key),
                             f"{key}.pkl")
 
-    # -- striped locking -----------------------------------------------------
+    # -- shard locking -------------------------------------------------------
     @contextlib.contextmanager
     def _shard_lock(self, shard: str) -> Iterator[None]:
-        """Exclusive per-shard critical section: threads via the striped
-        ``RLock``, sibling processes via ``flock`` on the shard's lock
-        file. Lock files are opened per use (fds cached across a fork
-        would alias the lock between parent and pool workers)."""
-        stripe = self._stripes[int(shard, 16) % NUM_SHARDS]
-        with stripe:
-            if fcntl is None:  # pragma: no cover - non-POSIX fallback
-                yield
-                return
-            lock_dir = os.path.join(self.root, _LOCK_DIR)
-            os.makedirs(lock_dir, exist_ok=True)
-            fd = os.open(os.path.join(lock_dir, f"{shard}.lock"),
-                         os.O_CREAT | os.O_RDWR, 0o644)
-            # The sanitizer sees the flock as one lock class acquired
-            # *after* the stripe — announced before blocking so an
-            # inversion raises instead of deadlocking.
-            sanitizer.note_acquire(_FLOCK_LOCK_NAME)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-                yield
-            finally:
-                sanitizer.note_release(_FLOCK_LOCK_NAME)
-                os.close(fd)  # closing the fd releases the flock
+        """Exclusive per-shard critical section: ``flock`` on the shard's
+        lock file, which excludes sibling threads and processes alike.
+        The file is opened per call: each call then holds its own open
+        file description, which is what makes ``flock`` exclude threads
+        of one process (an fd shared between threads, or cached across a
+        fork, would alias the lock instead)."""
+        lock_dir = os.path.join(self.root, _LOCK_DIR)
+        os.makedirs(lock_dir, exist_ok=True)
+        fd = os.open(os.path.join(lock_dir, f"{shard}.lock"),
+                     os.O_CREAT | os.O_RDWR, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)  # closing the fd releases the flock
 
     def _count(self, counter: str, n: int = 1) -> None:
         with self._stats_lock:
@@ -407,8 +351,8 @@ class PersistentCache:
         ``rejected_retention_s``. Returns the number of files removed.
 
         Safe against concurrent sessions and processes: the scan runs
-        lock-free, but each eviction re-stats its file under the shard's
-        striped lock and is **skipped** if the entry was touched (used)
+        lock-free, but each eviction re-stats its file under the shard
+        lock and is **skipped** if the entry was touched (used)
         since the scan — so a stale scan can never evict an entry that
         went hot underneath it. Concurrent removal of a file by another
         process is treated as that file already being gone.
@@ -461,9 +405,12 @@ class PersistentCache:
                         # Touched since the scan — the entry went hot;
                         # leave it (and its footprint) alone.
                         continue
-                    if self._unlink(path):
-                        self._count("evicted")
-                        removed += 1
+                    evicted = self._unlink(path)
+                # Counted after the shard lock is released: no lock is
+                # ever taken while another is held.
+                if evicted:
+                    self._count("evicted")
+                    removed += 1
                 count -= 1
                 total_bytes -= size
         with self._stats_lock:

@@ -58,7 +58,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro import faults
 from repro.analysis.bandwidth import FIG4_KINDS
-from repro.analysis.concurrency import sanitizer
 from repro.analysis.static.verifier import maybe_verify_graph
 from repro.errors import (
     CellPricingError,
@@ -152,9 +151,6 @@ def _init_worker(
     """
     global _WORKER_CACHE
     faults.install_from_env()
-    # The forked child inherits the parent's sanitizer state; its event
-    # ring and held-stack describe parent threads that don't exist here.
-    sanitizer.reset_after_fork()
     persist = None
     if cache_dir:
         kwargs = {"max_bytes": max_bytes, "max_entries": max_entries}

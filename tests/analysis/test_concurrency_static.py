@@ -1,30 +1,18 @@
 """Static concurrency rules (REPRO-C family): per-rule unit tests over
-synthetic sources, interprocedural cycle detection, and the repo's own
-lock-acquisition graph (expected edges present, no cycles)."""
+synthetic sources, including the nested-acquisition shapes REPRO-C001
+must flag and the sequential ones it must leave alone."""
 
 from __future__ import annotations
 
 import ast
 import textwrap
-from pathlib import Path
 
-from repro.analysis.concurrency.order import LockOrderGraph
-from repro.analysis.concurrency.static import (
-    build_lock_order_graph,
-    file_findings,
-    in_scope,
-    program_findings,
-)
+from repro.analysis.concurrency.static import file_findings, in_scope
 from repro.analysis.static.lint import lint_source
 
 
 def src(text: str) -> str:
     return textwrap.dedent(text)
-
-
-def trees_of(**sources: str):
-    return {path.replace("__", "/") + ".py": ast.parse(src(text))
-            for path, text in sources.items()}
 
 
 def rules(findings):
@@ -63,18 +51,18 @@ class TestC002BlockingUnderLock:
         assert rules(found) == ["REPRO-C002"]
 
     def test_flock_under_stripe_flagged(self):
-        # The real persist.py suppresses this via LINT_ALLOWLIST — the
-        # rule itself must still see it.
+        # A lock looked up in a table and aliased: the blocking flock
+        # under it is C002 (and, as a second lock, C001).
         found = file_findings("sweep/fake.py", ast.parse(src("""
             import fcntl
             class Cache:
                 def f(self, fd, shard):
-                    stripe = self._stripes[shard]
+                    stripe = self._locks[shard]
                     with stripe:
                         fcntl.flock(fd, fcntl.LOCK_EX)
         """)))
-        assert rules(found) == ["REPRO-C002"]
-        assert "_stripes" in found[0].message
+        assert rules(found) == ["REPRO-C002", "REPRO-C001"]
+        assert "Cache._locks" in found[0].message
 
     def test_blocking_after_with_block_passes(self):
         found = file_findings("sweep/fake.py", ast.parse(src("""
@@ -176,29 +164,30 @@ class TestC004ForkUnderLock:
         assert found == []
 
 
-class TestC001LockOrderInversion:
-    def test_direct_inversion_found(self):
-        findings = program_findings(trees_of(sweep__fake="""
+class TestC001NestedAcquisition:
+    def c001(self, text):
+        found = file_findings("sweep/fake.py", ast.parse(src(text)))
+        return [f for f in found if f.rule == "REPRO-C001"]
+
+    def test_direct_nesting_flagged(self):
+        found = self.c001("""
             import threading
             LOCK_A = threading.Lock()
             LOCK_B = threading.Lock()
-            def ab():
+            def f():
                 with LOCK_A:
                     with LOCK_B:
                         pass
-            def ba():
-                with LOCK_B:
-                    with LOCK_A:
-                        pass
-        """))
-        assert rules(findings) == ["REPRO-C001"]
-        assert "sweep.fake:LOCK_A" in findings[0].message
-        assert "sweep.fake:LOCK_B" in findings[0].message
-        # Both edge sites are named so the report stands on its own.
-        assert "sweep/fake.py:" in findings[0].message
+        """)
+        assert len(found) == 1
+        assert found[0].symbol == "f" and found[0].line == 7
+        assert "sweep.fake:LOCK_B" in found[0].message
+        assert "sweep.fake:LOCK_A" in found[0].message
 
-    def test_consistent_order_clean(self):
-        findings = program_findings(trees_of(sweep__fake="""
+    def test_consistent_order_nesting_flagged(self):
+        # Two functions nesting in the same order form no cycle, but each
+        # nesting is still a finding: the rule forbids nesting outright.
+        found = self.c001("""
             import threading
             LOCK_A = threading.Lock()
             LOCK_B = threading.Lock()
@@ -210,11 +199,11 @@ class TestC001LockOrderInversion:
                 with LOCK_A:
                     with LOCK_B:
                         pass
-        """))
-        assert findings == []
+        """)
+        assert sorted(f.symbol for f in found) == ["one", "two"]
 
-    def test_interprocedural_inversion_found(self):
-        findings = program_findings(trees_of(sweep__fake="""
+    def test_same_module_helper_under_lock_flagged(self):
+        found = self.c001("""
             import threading
             LOCK_A = threading.Lock()
             LOCK_B = threading.Lock()
@@ -224,87 +213,99 @@ class TestC001LockOrderInversion:
             def helper():
                 with LOCK_B:
                     pass
-            def rev():
-                with LOCK_B:
-                    with LOCK_A:
-                        pass
-        """))
-        assert rules(findings) == ["REPRO-C001"]
+        """)
+        assert len(found) == 1
+        assert found[0].symbol == "outer" and found[0].line == 7
+        assert "helper()" in found[0].message
 
-    def test_cross_module_inversion_found(self):
-        # one.f holds one:LOCK_A then (via two.take_b) two:LOCK_B;
-        # two.rev holds two:LOCK_B then (via one.take_a) one:LOCK_A —
-        # a cycle spanning both analyzed modules.
-        findings = program_findings(trees_of(
-            sweep__one="""
-                import threading
-                from repro.sweep import two
-                LOCK_A = threading.Lock()
-                def f():
-                    with LOCK_A:
-                        two.take_b()
-                def take_a():
-                    with LOCK_A:
-                        pass
-            """,
-            sweep__two="""
-                import threading
-                from repro.sweep import one
-                LOCK_B = threading.Lock()
-                def take_b():
-                    with LOCK_B:
-                        pass
-                def rev():
-                    with LOCK_B:
-                        one.take_a()
-            """))
-        assert "REPRO-C001" in rules(findings)
-
-    def test_contextmanager_call_counts_as_held(self):
-        # `with self._shard_lock(s):` — the callee's transitively
-        # acquired locks are held in the body (the persist.py pattern).
-        findings = program_findings(trees_of(sweep__fake="""
-            import contextlib, threading
-            LOCK_A = threading.Lock()
+    def test_shard_lock_then_with_lock_flagged(self):
+        # `with self._shard_lock():` is an acquisition in its own right
+        # (a lock-named context manager), so a lock under it nests.
+        found = self.c001("""
+            import contextlib, fcntl, threading
             LOCK_B = threading.Lock()
             class C:
                 @contextlib.contextmanager
-                def _shard_lock(self):
-                    with LOCK_A:
-                        yield
-                def f(self):
-                    with self._shard_lock():
+                def _shard_lock(self, fd):
+                    fcntl.flock(fd, fcntl.LOCK_EX)
+                    yield
+                def f(self, fd):
+                    with self._shard_lock(fd):
                         with LOCK_B:
                             pass
-            def rev():
+        """)
+        assert len(found) == 1
+        assert found[0].symbol == "f" and found[0].line == 11
+        assert "C._shard_lock" in found[0].message
+
+    def test_flock_under_lock_flagged(self):
+        found = self.c001("""
+            import fcntl, threading
+            LOCK = threading.Lock()
+            def f(fd):
+                with LOCK:
+                    fcntl.flock(fd, fcntl.LOCK_EX)
+        """)
+        assert len(found) == 1
+        assert "sweep.fake:flock" in found[0].message
+
+    def test_stats_lock_counted_under_shard_lock_flagged(self):
+        # A method counting a stat under the shard lock takes the stats
+        # lock inside the flock (the shape PersistentCache.gc must avoid).
+        found = self.c001("""
+            import contextlib, fcntl, os, threading
+            class Cache:
+                @contextlib.contextmanager
+                def _shard_lock(self, shard):
+                    fd = os.open(shard, os.O_RDWR)
+                    try:
+                        fcntl.flock(fd, fcntl.LOCK_EX)
+                        yield
+                    finally:
+                        os.close(fd)
+                def _count(self, counter):
+                    with self._stats_lock:
+                        self.n += 1
+                def gc(self, shard, path):
+                    with self._shard_lock(shard):
+                        os.unlink(path)
+                        self._count("evicted")
+        """)
+        assert len(found) == 1
+        assert found[0].symbol == "gc" and found[0].line == 18
+        assert "self._count()" in found[0].message
+        assert "Cache._stats_lock" in found[0].message
+
+    def test_sequential_acquisitions_clean(self):
+        found = self.c001("""
+            import fcntl, threading
+            LOCK_A = threading.Lock()
+            LOCK_B = threading.Lock()
+            def helper():
                 with LOCK_B:
-                    with LOCK_A:
-                        pass
-        """))
-        assert "REPRO-C001" in rules(findings)
+                    pass
+            def f(fd):
+                with LOCK_A:
+                    x = 1
+                with LOCK_B:
+                    y = 2
+                helper()
+                fcntl.flock(fd, fcntl.LOCK_EX)
+        """)
+        assert found == []
 
-
-class TestRepoLockGraph:
-    def scoped_trees(self):
-        import repro
-
-        root = Path(repro.__file__).resolve().parent
-        trees = {}
-        for prefix in ("sweep", "serve", "faults"):
-            for py in sorted((root / prefix).rglob("*.py")):
-                rel = py.relative_to(root).as_posix()
-                trees[rel] = ast.parse(py.read_text(), filename=rel)
-        return trees
-
-    def test_repo_graph_has_documented_edges_and_no_cycles(self):
-        graph = build_lock_order_graph(self.scoped_trees())
-        # The documented shard-lock protocol: stripe RLock before flock.
-        assert graph.has_edge("sweep.persist:PersistentCache._stripes",
-                              "sweep.persist:flock")
-        assert graph.cycles() == []
-
-    def test_repo_program_findings_clean(self):
-        assert program_findings(self.scoped_trees()) == []
+    def test_call_into_other_module_not_followed(self):
+        # Resolution stays inside the file: `two.take_b()` is not
+        # analyzed even if that function takes a lock.
+        found = self.c001("""
+            import threading
+            from repro.sweep import two
+            LOCK_A = threading.Lock()
+            def f():
+                with LOCK_A:
+                    two.take_b()
+        """)
+        assert found == []
 
 
 class TestLintIntegration:
@@ -329,41 +330,3 @@ class TestLintIntegration:
         """), "sweep/fake.py")
         assert len(found) == 1 and found[0].allowed
         assert found[0].allow_source == "inline"
-
-
-class TestLockOrderGraphModel:
-    def test_json_round_trip(self):
-        g = LockOrderGraph()
-        g.add_edge("a", "b", {"path": "x.py", "line": 3, "function": "f"})
-        g.add_edge("a", "b")
-        g.add_edge("b", "c")
-        data = g.to_json()
-        back = LockOrderGraph.from_json(data)
-        assert back.edges() == [("a", "b"), ("b", "c")]
-        assert back.edge_count("a", "b") == 2
-        assert back.edge_sites("a", "b")[0]["line"] == 3
-        assert back.to_json() == data
-
-    def test_merge_sums_counts(self):
-        g1, g2 = LockOrderGraph(), LockOrderGraph()
-        g1.add_edge("a", "b")
-        g2.add_edge("a", "b")
-        g2.add_edge("b", "c")
-        g1.merge(g2)
-        assert g1.edge_count("a", "b") == 2
-        assert g1.has_edge("b", "c")
-
-    def test_cycle_detection(self):
-        g = LockOrderGraph()
-        g.add_edge("a", "b")
-        g.add_edge("b", "c")
-        assert g.cycles() == []
-        g.add_edge("c", "a")
-        assert g.cycles() == [["a", "b", "c"]]
-
-    def test_path_query(self):
-        g = LockOrderGraph()
-        g.add_edge("a", "b")
-        g.add_edge("b", "c")
-        assert g.path("a", "c") == ["a", "b", "c"]
-        assert g.path("c", "a") is None

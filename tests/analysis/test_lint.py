@@ -126,58 +126,6 @@ class TestDeterminismRules:
         assert found == []
 
 
-class TestLockDiscipline:
-    def test_flock_outside_stripe_flagged(self):
-        found = lint_source(src("""
-            import fcntl
-
-            class Cache:
-                def bad(self, fd):
-                    fcntl.flock(fd, fcntl.LOCK_EX)
-        """), "sweep/fake_persist.py")
-        assert [f.rule for f in found] == ["REPRO-LOCK001"]
-
-    def test_flock_under_stripe_with_passes(self):
-        # LOCK001-clean; the same line is an (intentional) REPRO-C002 —
-        # blocking flock under the stripe — which the real persist.py
-        # suppresses via LINT_ALLOWLIST.
-        found = lint_source(src("""
-            import fcntl
-
-            class Cache:
-                def good(self, fd, shard):
-                    stripe = self._stripes[shard]
-                    with stripe:
-                        fcntl.flock(fd, fcntl.LOCK_EX)
-        """), "sweep/fake_persist.py")
-        assert [f.rule for f in found] == ["REPRO-C002"]
-
-    def test_flock_under_direct_subscript_with_passes(self):
-        found = lint_source(src("""
-            import fcntl
-
-            class Cache:
-                def good(self, fd, shard):
-                    with self._stripes[shard]:
-                        fcntl.flock(fd, fcntl.LOCK_EX)
-        """), "sweep/fake_persist.py")
-        assert [f.rule for f in found] == ["REPRO-C002"]
-
-    def test_with_on_unrelated_lock_still_flagged(self):
-        found = lint_source(src("""
-            import fcntl
-            import threading
-
-            class Cache:
-                def bad(self, fd):
-                    other = threading.Lock()
-                    with other:
-                        fcntl.flock(fd, fcntl.LOCK_EX)
-        """), "sweep/fake_persist.py")
-        assert [f.rule for f in found
-                if f.rule == "REPRO-LOCK001"] == ["REPRO-LOCK001"]
-
-
 class TestAllocRule:
     def test_ufunc_without_out_flagged(self):
         found = lint_source(
@@ -217,10 +165,10 @@ class TestRepoIsClean:
         assert any(f.rule == "REPRO-K001" for f in report.suppressed)
         assert any(f.rule == "REPRO-ALLOC001" for f in report.suppressed)
         assert any(f.rule == "REPRO-DET002" for f in report.suppressed)
-        # The shard-lock protocol's blocking-under-stripe exceptions are
-        # allowlisted (LINT_ALLOWLIST), not silently invisible.
+        # The atomic publish inside store's shard lock is allowlisted
+        # (LINT_ALLOWLIST), not silently invisible.
         assert any(f.rule == "REPRO-C002" and f.allow_source == "allowlist"
-                   for f in report.suppressed)
+                   and f.symbol == "store" for f in report.suppressed)
 
     def test_repo_strict_graph_sweep_clean(self, monkeypatch):
         monkeypatch.setattr(lint_mod, "STRICT_MODELS", ("tiny_cnn",))

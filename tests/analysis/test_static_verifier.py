@@ -145,6 +145,16 @@ class TestVerifyGraph:
         with pytest.raises(GraphVerificationError):
             maybe_verify_graph(g)
 
+    def test_falsy_spellings(self, monkeypatch):
+        from repro.config import verify_graphs_enabled
+
+        for off in ("", "0", "false", "no", "off", " OFF "):
+            monkeypatch.setenv("REPRO_VERIFY_GRAPHS", off)
+            assert not verify_graphs_enabled()
+        for on in ("1", "true", "yes", "on"):
+            monkeypatch.setenv("REPRO_VERIFY_GRAPHS", on)
+            assert verify_graphs_enabled()
+
 
 class TestPassHook:
     def test_pass_call_runs_verifier(self, monkeypatch):

@@ -13,12 +13,6 @@ import pytest
 # setdefault so a test run can still opt out explicitly.
 os.environ.setdefault("REPRO_VERIFY_GRAPHS", "1")
 
-# The runtime lock-order sanitizer (docs/analysis.md, "Concurrency
-# analysis") is likewise on for the whole suite: every stripe/flock/cache
-# lock acquisition feeds the lock-order graph and an inversion raises
-# LockOrderError instead of deadlocking the run.
-os.environ.setdefault("REPRO_SANITIZE", "1")
-
 from repro.config import rng
 from repro.hw.presets import SKYLAKE_2S
 from repro.models.registry import build_model

@@ -268,52 +268,3 @@ def test_unknown_graphs_keep_static_estimate(cache_dir):
     # Nothing has been built: no observed counts, static default applies.
     assert session.estimator_for(cells) is None
     session.close()
-
-
-class TestStripeRegistryEviction:
-    """The process-wide stripe registry must not grow one entry per cache
-    directory forever: roots whose directory is gone are evicted on the
-    next lookup (regression test for the unbounded-growth leak)."""
-
-    def test_dead_roots_are_evicted_live_roots_survive(self, tmp_path):
-        import shutil
-
-        from repro.sweep import persist
-
-        live = PersistentCache(str(tmp_path / "live"))
-        dead = PersistentCache(str(tmp_path / "dead"))
-        assert live.root in persist._STRIPE_REGISTRY
-        assert dead.root in persist._STRIPE_REGISTRY
-
-        shutil.rmtree(dead.root)
-        # Any later cache construction triggers the sweep.
-        third = PersistentCache(str(tmp_path / "third"))
-        assert dead.root not in persist._STRIPE_REGISTRY
-        assert live.root in persist._STRIPE_REGISTRY
-        assert third.root in persist._STRIPE_REGISTRY
-
-    def test_requested_root_is_never_evicted(self, tmp_path):
-        """Even if the root directory races away, the cache being built
-        right now keeps its stripes (the eviction sweep skips it)."""
-        from repro.sweep import persist
-
-        root = str(tmp_path / "mine")
-        cache = PersistentCache(root)
-        stripes = persist._STRIPE_REGISTRY[root]
-        # Re-resolving the same root returns the identical stripe list,
-        # so every cache over one directory contends on the same locks.
-        again = PersistentCache(root)
-        assert again._stripes is stripes is cache._stripes
-
-    def test_stripe_identity_stable_for_live_roots(self, tmp_path):
-        import shutil
-
-        from repro.sweep import persist
-
-        keeper = PersistentCache(str(tmp_path / "keeper"))
-        before = persist._STRIPE_REGISTRY[keeper.root]
-        victim = PersistentCache(str(tmp_path / "victim"))
-        shutil.rmtree(victim.root)
-        PersistentCache(str(tmp_path / "trigger"))
-        # Eviction of the victim left the keeper's lock objects intact.
-        assert persist._STRIPE_REGISTRY[keeper.root] is before

@@ -14,9 +14,9 @@ directory concurrently. These tests pin the load-bearing pieces:
 * **caps eventually enforced** — concurrent capped writers converge to
   a directory within the configured bounds.
 
-Workers are real subprocesses (fresh interpreters, fresh lock
-registries — exactly like independent server processes), following the
-``test_determinism.py`` idiom.
+Workers are real subprocesses (fresh interpreters — exactly like
+independent server processes), following the ``test_determinism.py``
+idiom.
 """
 
 import hashlib
@@ -24,6 +24,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -186,16 +188,56 @@ def test_store_retouches_mtime_so_hot_entries_arent_lru_evicted(cache_dir):
 
 
 def test_shard_layout_and_stripe_sharing(tmp_path):
-    """Entries land under their key-prefix shard, and two cache
-    instances over one directory share the same in-process stripe locks
-    (per-instance locks would not serialize anything)."""
+    """Entries land under their key-prefix shard (that two cache
+    instances over one directory exclude each other per shard is
+    pinned by behaviour in the next test)."""
     for key in ("00aa", "ffbb", "not-hex!"):
         shard = shard_for(key)
         assert len(shard) == 1 and int(shard, 16) < NUM_SHARDS
     assert shard_for("abcd") == "a"
     a = PersistentCache(str(tmp_path / "dir"))
-    b = PersistentCache(str(tmp_path / "dir"))
-    assert a._stripes is b._stripes
     assert a.path_for("cost", "abcd").endswith(
         os.path.join("costs", "a", "abcd.pkl")
     )
+
+
+def test_shard_lock_excludes_threads_across_instances(tmp_path):
+    """More threads than cores alternate between two cache instances
+    over one directory, all entering the same shard's lock: at most one
+    is ever inside (the per-call flock alone excludes threads)."""
+    caches = [PersistentCache(str(tmp_path / "dir")) for _ in range(2)]
+    n_threads = 2 * (os.cpu_count() or 1) + 2
+    rounds = 100
+    guard = threading.Lock()
+    inside = [0]
+    peak = [0]
+    errors = []
+
+    def worker(i):
+        try:
+            for r in range(rounds):
+                with caches[(i + r) % 2]._shard_lock("a"):
+                    with guard:
+                        inside[0] += 1
+                        peak[0] = max(peak[0], inside[0])
+                    time.sleep(0)  # let any other thread try to enter
+                    with guard:
+                        inside[0] -= 1
+        except BaseException as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    for t in threads:
+        assert not t.is_alive()
+    assert errors == []
+    assert peak[0] == 1

@@ -72,8 +72,7 @@ class Conv2d(Module):
             )
         n = x.shape[0]
         cols, (out_h, out_w) = im2col(x, self.kernel, self.stride, self.padding)
-        w2d = self.weight.data.reshape(self.out_channels, -1)
-        out = cols @ w2d.T  # (N*OH*OW, OC)
+        out = cols @ self._w2d().T  # (N*OH*OW, OC)
         if self.bias is not None:
             out += self.bias.data
         y = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
@@ -110,10 +109,10 @@ class Conv2d(Module):
         if self._cols is None or self._x_shape is None:
             raise ExecutionError(f"{self.name}: backward before forward")
         dy2d = self._dy_as_2d(dy)
-        dw = dy2d.T @ self._cols  # (OC, C*K*K)
-        self.weight.accumulate_grad(
-            dw.reshape(self.weight.data.shape).astype(self.weight.data.dtype)
-        )
+        dw = dy2d.T @ self._cols  # (OC, K*K*C)
+        k = self.kernel
+        dw = dw.reshape(self.out_channels, k, k, self.in_channels).transpose(0, 3, 1, 2)
+        self.weight.accumulate_grad(dw.astype(self.weight.data.dtype))
         if self.bias is not None:
             self.bias.accumulate_grad(dy2d.sum(axis=0).astype(self.bias.data.dtype))
 
@@ -122,9 +121,12 @@ class Conv2d(Module):
         if self._x_shape is None:
             raise ExecutionError(f"{self.name}: backward before forward")
         dy2d = self._dy_as_2d(dy)
-        w2d = self.weight.data.reshape(self.out_channels, -1)
-        dcols = dy2d @ w2d  # (N*OH*OW, C*K*K)
+        dcols = dy2d @ self._w2d()  # (N*OH*OW, K*K*C)
         return col2im(dcols, self._x_shape, self.kernel, self.stride, self.padding)
+
+    def _w2d(self) -> np.ndarray:
+        """The (OC, C, K, K) weight as an (OC, K*K*C) matrix, im2col's column order."""
+        return self.weight.data.transpose(0, 2, 3, 1).reshape(self.out_channels, -1)
 
     def _dy_as_2d(self, dy: np.ndarray) -> np.ndarray:
         if dy.shape != self._y_shape:

@@ -41,7 +41,9 @@ class Parameter:
                 f"{self.data.shape}"
             )
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            # C order like ``data``, whatever g's layout: astype would keep
+            # a transposed g's strides (Conv2d's dW is a transposed view).
+            self.grad = g.astype(self.data.dtype, order="C", copy=True)
         else:
             self.grad += g
 

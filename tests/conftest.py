@@ -65,3 +65,10 @@ def sample_indices(shape, count: int, seed: int = 0):
         tuple(int(gen.integers(0, s)) for s in shape)
         for _ in range(count)
     ]
+
+
+def assert_same_bits(got: np.ndarray, expected: np.ndarray) -> None:
+    """Bit equality, compared as unsigned integers so ``-0.0 != 0.0``."""
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    uint = f"u{got.dtype.itemsize}"
+    assert np.array_equal(got.view(uint), expected.view(uint))

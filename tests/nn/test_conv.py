@@ -1,4 +1,5 @@
-"""Conv2d: forward against scipy, backward against numerical gradients."""
+"""Conv2d: forward against scipy, backward against numerical gradients,
+and against the (C, K, K)-ordered lowering it replaced."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,13 @@ from scipy import signal
 
 from repro.config import rng
 from repro.errors import ExecutionError, ShapeError
+from repro.graph.node import OpKind
+from repro.models import densenet_graph
 from repro.nn import Conv2d
+from repro.nn.im2col import accumulate_windows
+from repro.tensors.shapes import conv2d_output_hw
 
-from tests.conftest import numerical_gradient, sample_indices
+from tests.conftest import assert_same_bits, numerical_gradient, sample_indices
 
 
 def scipy_conv2d(x, w, stride, padding):
@@ -142,3 +147,79 @@ class TestBackward:
 
         np.testing.assert_array_equal(dxa, dxb)
         np.testing.assert_array_equal(a.weight.grad, b.weight.grad)
+
+
+def im2col_ckk(x, kernel, stride, padding):
+    """The earlier lowering: ``(N*OH*OW, C*K*K)``, columns in (C, K, K) order."""
+    n = x.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * windows.shape[2] * windows.shape[3], -1)
+
+
+def col2im_ckk(cols, x_shape, kernel, stride, padding):
+    """The adjoint of :func:`im2col_ckk`, added in the ``np.add.at`` order."""
+    n, c, h, w = x_shape
+    oh, ow = conv2d_output_hw((h, w), kernel, stride, padding)
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), cols.dtype)
+    patches = cols.reshape(n, oh, ow, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
+    accumulate_windows(padded, patches, stride)
+    return padded[:, :, padding : padding + h, padding : padding + w]
+
+
+def workload_convs():
+    """(C, OC, K, S, P, H, W) of each distinct conv in the DenseNet-BC
+    miniature that ``perfbench/run.py --workload train-densenet`` trains."""
+    graph = densenet_graph(blocks=(6, 12), growth=12, image=(3, 32, 32), batch=32,
+                           num_classes=10)
+    shapes = set()
+    for node in graph.nodes:
+        if node.kind is OpKind.CONV:
+            a = node.attrs
+            h, w = graph.tensors[node.inputs[0]].shape[2:]
+            shapes.add((a["in_channels"], a["out_channels"], a["kernel"], a["stride"],
+                        a["padding"], h, w))
+    return sorted(shapes)
+
+
+class TestAgainstCKKLowering:
+    """The (K, K, C) column order against the (C, K, K) one it replaced.
+
+    The backward GEMMs reduce over OC and over N*OH*OW, which the column
+    order only permutes, so ``dX`` and ``dW`` keep their bits. The forward
+    GEMM reduces over a window's C*K*K products, whose summation order the
+    column order sets; at K = 1 the two orders coincide. Any order of a
+    length-n dot product lands within ``gamma_n * sum|a_i * b_i|`` of the
+    exact value, ``gamma_n = n*u / (1 - n*u)`` with ``u = eps / 2`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 3.1). Two orders
+    therefore differ by at most ``2 * gamma_n * sum|a_i * b_i|``, and
+    ``2 * gamma_n < 2 * n * eps`` while ``n*u < 1/2``.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("c,oc,k,s,p,h,w", workload_convs())
+    def test_workload_conv(self, c, oc, k, s, p, h, w, dtype):
+        n = 32
+        r = rng(c + 1000 * k)
+        conv = Conv2d(c, oc, k, s, p, seed=c)
+        conv.weight.data = conv.weight.data.astype(dtype)
+        x = r.normal(size=(n, c, h, w)).astype(dtype)
+        y = conv.forward(x)
+        dy = r.normal(size=y.shape).astype(dtype)
+        dx = conv.backward(dy)
+
+        w2d = conv.weight.data.reshape(oc, -1)
+        cols = im2col_ckk(x, k, s, p)
+        y2d = y.transpose(0, 2, 3, 1).reshape(-1, oc)
+        y2d_ref = cols @ w2d.T
+        dy2d = dy.transpose(0, 2, 3, 1).reshape(-1, oc)
+        assert_same_bits(dx, col2im_ckk(dy2d @ w2d, x.shape, k, s, p))
+        assert_same_bits(conv.weight.grad, (dy2d.T @ cols).reshape(conv.weight.data.shape))
+        if k == 1:
+            assert_same_bits(y2d, y2d_ref)
+        else:
+            f64 = np.float64
+            bound = (2 * c * k * k * np.finfo(dtype).eps
+                     * (np.abs(cols.astype(f64)) @ np.abs(w2d.astype(f64)).T))
+            assert np.all(np.abs(y2d.astype(f64) - y2d_ref.astype(f64)) <= bound)

@@ -38,6 +38,27 @@ class TestIm2col:
         with pytest.raises(ShapeError):
             im2col(np.zeros((3, 8, 8), dtype=np.float32), 3, 1, 1)
 
+    @pytest.mark.parametrize("kernel,stride,padding,channels", [
+        (3, 1, 1, 4), (7, 2, 3, 3), (2, 3, 0, 2), (1, 1, 0, 5),
+    ])
+    def test_matches_loop_reference(self, kernel, stride, padding, channels):
+        """Columns are (K, K, C) ordered: element (ky, kx, c) of window
+        (oy, ox) sits at column (ky * K + kx) * C + c."""
+        x = rng(5).normal(size=(2, channels, 9, 8)).astype(np.float32)
+        cols, (oh, ow) = im2col(x, kernel, stride, padding)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        expected = np.empty((2 * oh * ow, kernel * kernel * channels), np.float32)
+        for n in range(2):
+            for oy in range(oh):
+                for ox in range(ow):
+                    row = (n * oh + oy) * ow + ox
+                    for ky in range(kernel):
+                        for kx in range(kernel):
+                            for c in range(channels):
+                                col = (ky * kernel + kx) * channels + c
+                                expected[row, col] = xp[n, c, oy * stride + ky, ox * stride + kx]
+        np.testing.assert_array_equal(cols, expected)
+
 
 class TestCol2im:
     def test_adjoint_property(self):
@@ -88,7 +109,7 @@ class TestNoExtraCopy:
         ref = np.lib.stride_tricks.sliding_window_view(
             np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))), (3, 3),
             axis=(2, 3),
-        ).transpose(0, 2, 3, 1, 4, 5).reshape(cols.shape)
+        ).transpose(0, 2, 3, 4, 5, 1).reshape(cols.shape)
         np.testing.assert_array_equal(cols, ref)
 
     def test_degenerate_1x1_unpadded_may_be_view(self):

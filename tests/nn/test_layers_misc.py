@@ -181,6 +181,16 @@ class TestSequentialAndModule:
         with pytest.raises(ExecutionError):
             p.accumulate_grad(np.zeros((3,)))
 
+    def test_parameter_grad_is_c_contiguous(self):
+        """A transposed gradient (as Conv2d's dW is) must not leave
+        ``grad`` in its memory order: ``data`` is always C-contiguous."""
+        p = Parameter(np.zeros((4, 3, 2, 2), dtype=np.float32))
+        g = np.arange(48, dtype=np.float64).reshape(4, 2, 2, 3).transpose(0, 3, 1, 2)
+        p.accumulate_grad(g)
+        assert p.grad.flags.c_contiguous
+        assert p.grad.dtype == np.float32
+        np.testing.assert_array_equal(p.grad, g)
+
 
 class TestInit:
     def test_he_normal_scale(self):

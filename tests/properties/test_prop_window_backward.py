@@ -13,12 +13,14 @@ padding, ``ceil_mode`` and fp16/fp32/fp64 storage.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import rng
 from repro.nn import AvgPool2d, DepthwiseConv2d
 from repro.nn.im2col import col2im
 from repro.tensors.shapes import conv2d_output_hw
+
+from tests.conftest import assert_same_bits
 
 DTYPES = (np.float16, np.float32, np.float64)
 
@@ -51,12 +53,6 @@ def sample(shape, dtype, seed):
     return a.astype(dtype)
 
 
-def assert_same_bits(got, expected):
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    uint = f"u{got.dtype.itemsize}"
-    assert np.array_equal(got.view(uint), expected.view(uint))
-
-
 @st.composite
 def windows(draw):
     """(n, c, h, w, kernel, stride, padding, dtype, seed) whose windows fit."""
@@ -73,6 +69,12 @@ def windows(draw):
 class TestWindowBackwardBitIdentity:
     @settings(max_examples=60, deadline=None)
     @given(case=windows())
+    # col2im accumulates into a channels-last buffer when C >= OW and into
+    # an NCHW one otherwise; pin both, and the DenseNet-BC stem.
+    @example(case=(2, 8, 6, 6, 3, 1, 1, np.float32, 1))    # C=8 >= OW=6
+    @example(case=(1, 4, 4, 4, 3, 1, 1, np.float16, 2))    # C = OW = 4
+    @example(case=(2, 3, 32, 32, 7, 2, 3, np.float32, 3))  # stem: C=3 < OW=16
+    @example(case=(1, 2, 9, 9, 2, 3, 0, np.float64, 4))    # C=2 < OW=3, S > K
     def test_col2im(self, case):
         n, c, h, w, k, s, p, dtype, seed = case
         oh, ow = conv2d_output_hw((h, w), k, s, p)
@@ -80,7 +82,7 @@ class TestWindowBackwardBitIdentity:
         got = col2im(cols, (n, c, h, w), k, s, p)
 
         padded = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype)
-        patches = cols.reshape(n, oh, ow, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+        patches = cols.reshape(n, oh, ow, k, k, c).transpose(0, 5, 1, 2, 3, 4)
         add_at_windows(padded, patches, s)
         assert_same_bits(got, padded[:, :, p : p + h, p : p + w])
 

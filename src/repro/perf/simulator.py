@@ -77,15 +77,14 @@ def simulate(
         acc[0] += fwd_e
         acc[1] += bwd_e
 
-    cost = IterationCost(
-        model=graph.name, hardware=hw.name, scenario=scenario, batch=batch
-    )
-    for node in graph.nodes:
-        cost.nodes.append(
+    return IterationCost(
+        model=graph.name, hardware=hw.name, scenario=scenario, batch=batch,
+        nodes=[
             _price_node(node, graph, hw, cache, extra_eops.get(node.name, (0.0, 0.0)),
                         infinite_bw_kinds, include_overhead, precision)
-        )
-    return cost
+            for node in graph.nodes
+        ],
+    )
 
 
 def _infer_batch(graph: LayerGraph) -> int:

@@ -10,8 +10,9 @@ cell instead of re-pricing it.
 Design constraints, in order:
 
 1. **Never wrong.** Entries are content-addressed, every file carries a
-   format version and a payload checksum, and a pickle round-trip of the
-   pure-float cost records is exact — a disk hit is bit-identical to the
+   format version and a payload checksum, and a pickle round-trip of a
+   cost record — columns of exact ints and IEEE doubles plus the totals
+   it summed once — is exact: a disk hit is bit-identical to the
    compute it replaces (pinned by ``tests/sweep/test_persist.py``).
 2. **Never fatal.** A truncated, corrupted, foreign-format or
    version-mismatched file is treated as a miss (and quarantined out of
@@ -83,7 +84,10 @@ from repro.perf.report import IterationCost
 #: (The v3→sharded directory layout change needs no bump: pre-shard flat
 #: files simply stop being found — a cold re-price, never a wrong read —
 #: and GC still scans them recursively, so they age out under the caps.)
-CACHE_FORMAT_VERSION = 3
+#: v4: ``IterationCost`` pickles as per-node columns plus its summed
+#: totals instead of one ``NodeCost`` and two ``PassCost`` objects per
+#: node — a v3 object payload is never read, only re-priced.
+CACHE_FORMAT_VERSION = 4
 
 #: Entry kind -> subdirectory. Costs, graphs and node-count metadata live
 #: apart so a cache directory can be inspected (and selectively cleared)
@@ -141,7 +145,10 @@ class PersistentCache:
     per-shard locks, never one global lock — holding a pickled
     envelope ``{format, kind, key, sha256, payload}`` where ``payload``
     is the pickled object and ``sha256`` its checksum. Loads validate
-    the whole envelope and return ``None`` on any mismatch.
+    the whole envelope and return ``None`` on any mismatch. A cost
+    payload is an :class:`IterationCost` in its pickled form: per-node
+    columns (typed arrays for the numbers) plus the totals it summed
+    when priced, so a load neither builds per-node objects nor re-sums.
 
     ``max_bytes`` / ``max_entries`` cap the store (``None`` = unbounded);
     :meth:`gc` enforces them LRU-by-mtime, where "recently used" means

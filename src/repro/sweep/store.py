@@ -12,22 +12,20 @@ slices stay deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, methodcaller
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.errors import SweepSpecError
 from repro.perf.report import IterationCost
 from repro.sweep.spec import AXES, SweepCell
 
-#: Metric column name -> extractor over a priced cell.
+#: Metric column name -> extractor over a priced cell. Each reads a total
+#: the :class:`IterationCost` summed once, when it was built.
 METRICS: Dict[str, Callable[[IterationCost], float]] = {
-    "total_time_s": lambda c: c.total_time_s,
-    "fwd_time_s": lambda c: c.fwd_time_s,
-    "bwd_time_s": lambda c: c.bwd_time_s,
-    "time_per_image_s": lambda c: c.time_per_image_s,
-    "dram_bytes": lambda c: c.dram_bytes,
-    "fwd_dram_bytes": lambda c: c.fwd_dram_bytes,
-    "bwd_dram_bytes": lambda c: c.bwd_dram_bytes,
-    "non_conv_share": lambda c: c.non_conv_share(),
+    **{name: attrgetter(name) for name in (
+        "total_time_s", "fwd_time_s", "bwd_time_s", "time_per_image_s",
+        "dram_bytes", "fwd_dram_bytes", "bwd_dram_bytes")},
+    "non_conv_share": methodcaller("non_conv_share"),
 }
 
 

@@ -4,8 +4,8 @@ Every chaos test follows the same shape: compute an uninjected serial
 reference, run the same workload under a deterministic
 :class:`~repro.faults.FaultPlan`, and assert both the *recovery* (the
 run completes, the right counters moved) and the *answer* (bit-identical
-costs — ``IterationCost`` is a pure-float dataclass, so ``==`` is exact
-equality of every node's every metric).
+costs — ``IterationCost.__eq__`` compares the record's per-node columns
+exactly, so ``==`` is exact equality of every node's every metric).
 """
 
 import asyncio

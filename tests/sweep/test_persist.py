@@ -238,6 +238,45 @@ def test_pre_v2_entry_degrades_to_cold_compute(cache_dir):
     assert _totals(store) == _totals(cold)
 
 
+def test_v3_entry_degrades_to_cold_compute(cache_dir):
+    """Regression for the v3 -> v4 format bump: v3 pickled each cost as
+    ``NodeCost``/``PassCost`` objects, v4 as columns plus totals, so a
+    v3-tagged entry must read as a miss and be re-priced — never be
+    unpickled into a record."""
+    cold_cache = GraphCache(persist=PersistentCache(cache_dir))
+    cold = run_sweep(GRID, cache=cold_cache)
+    assert CACHE_FORMAT_VERSION >= 4
+
+    persist = PersistentCache(cache_dir)
+    for cell in GRID.cells():
+        path = persist.path_for("cost", cell.key())
+        with open(path, "rb") as fh:
+            envelope = pickle.load(fh)
+        envelope["format"] = 3
+        with open(path, "wb") as fh:
+            pickle.dump(envelope, fh)
+
+    # Each entry reads as a miss (and is moved aside)...
+    probe = PersistentCache(cache_dir)
+    assert [probe.load_cost(c.key()) for c in GRID.cells()] \
+        == [None] * len(cold)
+    assert probe.stats.rejected == len(cold)
+
+    # ...so the next run re-prices every cell, to the same records.
+    cache = GraphCache(persist=PersistentCache(cache_dir))
+    store = run_sweep(GRID, cache=cache)
+    assert cache.stats.cost_misses == len(store)
+    assert cache.stats.cost_disk_hits == 0
+    assert _totals(store) == _totals(cold)
+    for row, cold_row in zip(store.rows, cold.rows):
+        assert row.cost == cold_row.cost
+
+    # The re-priced entries were written back as v4 and now hit.
+    warm = GraphCache(persist=PersistentCache(cache_dir))
+    assert _totals(run_sweep(GRID, cache=warm)) == _totals(cold)
+    assert warm.stats.cost_disk_hits == len(cold)
+
+
 def test_node_counts_persist_and_feed_the_scheduler(cache_dir):
     """Observed node counts land on disk next to the costs and replace
     the static estimate on warm runs."""

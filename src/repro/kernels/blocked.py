@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import queue
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -349,13 +349,16 @@ def _fill_op(src: np.ndarray, vec4: np.ndarray, t: np.ndarray,
 
 
 def _check_out(out: Optional[np.ndarray], like: np.ndarray,
-               what: str) -> np.ndarray:
+               what: str, dtype=None) -> np.ndarray:
+    """*out*, checked against *like*'s shape and *dtype* (default
+    ``like.dtype``), or a fresh buffer of that shape and dtype."""
+    dtype = like.dtype if dtype is None else np.dtype(dtype)
     if out is None:
         # repro-lint: allow REPRO-ALLOC001 (caller-visible result buffer)
-        return np.empty(like.shape, dtype=like.dtype)
-    if out.shape != like.shape or out.dtype != like.dtype:
+        return np.empty(like.shape, dtype=dtype)
+    if out.shape != like.shape or out.dtype != dtype:
         raise ShapeError(
-            f"{what}: out must be {like.dtype} {like.shape}, "
+            f"{what}: out must be {dtype} {like.shape}, "
             f"got {out.dtype} {out.shape}"
         )
     return out
@@ -370,9 +373,10 @@ def blocked_normalize_apply(
     beta: np.ndarray,
     relu: bool = False,
     out: Optional[np.ndarray] = None,
+    return_x_hat: bool = False,
     block_batch: Optional[int] = None,
     threads: Optional[int] = None,
-) -> np.ndarray:
+) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
     """``gamma * (x - mean) * inv_std + beta`` streamed through batch slabs.
 
     The sub-BN2 affine with precomputed ``inv_std`` (what
@@ -380,6 +384,13 @@ def blocked_normalize_apply(
     result is downcast to ``x``'s storage dtype slab by slab, with the
     optional ReLU applied *after* the downcast — the exact op order of the
     naive normalize, so outputs are bit-identical at every block size.
+    When the storage dtype is the math dtype the affine runs in ``out``
+    itself, with no scratch and no copy.
+
+    With ``return_x_hat`` the result is ``(out, x_hat)``: the normalized
+    input ``(x - mean) * inv_std`` at the math dtype, in a caller-visible
+    buffer instead of slab scratch (the fused backward reduces dgamma over
+    it).
     """
     _check_nchw(x)
     threads = _resolve_threads(threads)
@@ -387,6 +398,9 @@ def blocked_normalize_apply(
     math_dt = np.result_type(x.dtype, mean.dtype)
     n, c, h, w = x.shape
     out_arr = _check_out(out, x, "blocked_normalize_apply")
+    x_hat = (_check_out(None, x, "blocked_normalize_apply", dtype=math_dt)
+             if return_x_hat else None)
+    narrow = out_arr.dtype != math_dt
     bn = _resolve_block(
         block_batch,
         choose_block_batch(x.shape, x.dtype, math_dt, kernel="normalize",
@@ -396,7 +410,8 @@ def blocked_normalize_apply(
     )
     slabs = _row_slabs(n, bn)
     pool = _ScratchPool(min(threads, len(slabs)),
-                        lambda: np.empty((bn, c, h, w), dtype=math_dt))
+                        lambda: np.empty((bn, c, h, w), dtype=math_dt)
+                        if narrow else None)
     m4 = mean[None, :, None, None]
     i4 = inv_std[None, :, None, None]
     g4 = gamma[None, :, None, None]
@@ -406,20 +421,22 @@ def blocked_normalize_apply(
         n0, n1 = slab
         buf = pool.get()
         try:
-            t = buf[: n1 - n0]
-            _fill_op(x[n0:n1], m4, t, np.subtract)
-            np.multiply(t, i4, out=t)
-            np.multiply(t, g4, out=t)
-            np.add(t, b4, out=t)
             o = out_arr[n0:n1]
-            o[...] = t  # downcast to storage, same rounding as astype
+            t = buf[: n1 - n0] if narrow else o
+            xh = t if x_hat is None else x_hat[n0:n1]
+            _fill_op(x[n0:n1], m4, xh, np.subtract)
+            np.multiply(xh, i4, out=xh)
+            np.multiply(xh, g4, out=t)
+            np.add(t, b4, out=t)
+            if narrow:
+                o[...] = t  # downcast to storage, same rounding as astype
             if relu:
                 np.maximum(o, 0, out=o)
         finally:
             pool.put(buf)
 
     _run_tiles(slabs, work, threads)
-    return out_arr
+    return out_arr if x_hat is None else (out_arr, x_hat)
 
 
 def blocked_affine_normalize(
@@ -432,16 +449,17 @@ def blocked_affine_normalize(
     relu: bool = False,
     accumulate_dtype=None,
     out: Optional[np.ndarray] = None,
+    return_x_hat: bool = False,
     block_batch: Optional[int] = None,
     threads: Optional[int] = None,
-) -> np.ndarray:
+) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
     """Streaming sub-BN2(+ReLU) forward from saved (mean, var).
 
-    The blocked twin of the ``bn_out`` half of the fused kernels'
-    ``_affine_normalize`` — same ``accumulate_dtype`` lifting contract,
-    same values, but no ``x_hat``/``bn_out`` full-tensor temporaries at the
-    math width (only the storage-dtype result is allocated, or written
-    into ``out``).
+    With ``accumulate_dtype`` set (fp32+), the per-channel vectors are
+    lifted to the accumulator so sub-fp32 inputs normalize at fp32; the
+    result is downcast to ``x``'s storage dtype either way. No full-width
+    ``x_hat``/``bn_out`` temporaries are made unless ``return_x_hat``
+    asks for ``x_hat`` back (see :func:`blocked_normalize_apply`).
     """
     acc = resolve_accumulate_dtype(accumulate_dtype, storage=x.dtype)
     if acc is not None:
@@ -453,7 +471,7 @@ def blocked_affine_normalize(
     inv_std = 1.0 / np.sqrt(var + eps)
     return blocked_normalize_apply(
         x, mean, inv_std, gamma, beta, relu=relu, out=out,
-        block_batch=block_batch, threads=threads,
+        return_x_hat=return_x_hat, block_batch=block_batch, threads=threads,
     )
 
 
@@ -478,7 +496,8 @@ def blocked_bn_input_grad_transform(
     :func:`~repro.kernels.conv_bn_fused.bn_input_grad_transform` (vectors
     lifted to the accumulator when set; output downcast to the gradient's
     storage dtype), applied slab-by-slab through two pooled scratch
-    buffers.
+    buffers, or one when the gradient's storage dtype is the math dtype:
+    the chain then runs in the result itself.
     """
     _check_nchw(d_bn_out, "blocked_bn_input_grad_transform")
     if bn_x.shape != d_bn_out.shape:
@@ -514,6 +533,8 @@ def blocked_bn_input_grad_transform(
     math_dt = np.result_type(d_dt, x_dt, mean.dtype)
     narrow_scale = d_dt != math_dt
     out_arr = _check_out(out, d_bn_out, "blocked_bn_input_grad_transform")
+    # Storage at the math width takes the whole chain in ``out`` itself.
+    narrow = out_arr.dtype != math_dt
     bn = _resolve_block(
         block_batch,
         choose_block_batch(d_bn_out.shape, d_bn_out.dtype, math_dt,
@@ -525,7 +546,7 @@ def blocked_bn_input_grad_transform(
     pool = _ScratchPool(
         min(threads, len(slabs)),
         lambda: (np.empty((bn, c, h, w), dtype=math_dt),
-                 np.empty((bn, c, h, w), dtype=math_dt),
+                 np.empty((bn, c, h, w), dtype=math_dt) if narrow else None,
                  np.empty((bn, c, h, w), dtype=d_dt)
                  if narrow_scale else None),
     )
@@ -540,8 +561,9 @@ def blocked_bn_input_grad_transform(
         bufs = pool.get()
         try:
             rows = slice(n0, n1)
+            o = out_arr[rows]
             t1 = bufs[0][: n1 - n0]
-            t2 = bufs[1][: n1 - n0]
+            t2 = bufs[1][: n1 - n0] if narrow else o
             _fill_op(bn_x[rows], m4, t1, np.subtract)
             np.multiply(t1, i4, out=t1)  # x_hat
             np.multiply(t1, dg4, out=t1)  # x_hat * dgamma
@@ -565,7 +587,8 @@ def blocked_bn_input_grad_transform(
             np.subtract(t2, db4, out=t2)
             np.subtract(t2, t1, out=t2)
             np.multiply(t2, gm4, out=t2)
-            out_arr[rows] = t2  # downcast to the gradient storage dtype
+            if narrow:
+                o[...] = t2  # downcast to the gradient storage dtype
         finally:
             pool.put(bufs)
 

@@ -39,36 +39,6 @@ from repro.nn.conv import Conv2d
 from repro.nn.module import Module
 
 
-def _affine_normalize(
-    x: np.ndarray,
-    mean: np.ndarray,
-    var: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    eps: float,
-    accumulate_dtype=None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Return (x_hat, bn_out) for the saved statistics — the sub-BN2 math.
-
-    With ``accumulate_dtype`` set (fp32+), the per-channel vectors are
-    lifted to the accumulator so sub-fp32 inputs normalize at fp32;
-    ``bn_out`` is downcast to the storage dtype either way (it is the
-    transient tensor the real kernel hands to the convolution's input
-    tiles), while ``x_hat`` stays at the math dtype for the reductions.
-    """
-    acc = resolve_accumulate_dtype(accumulate_dtype, storage=x.dtype)
-    if acc is not None:
-        mean = mean.astype(acc, copy=False)
-        var = var.astype(acc, copy=False)
-        gamma = gamma.astype(acc, copy=False)
-        beta = beta.astype(acc, copy=False)
-    # repro-lint: allow REPRO-ALLOC001 (deliberate naive x_hat path)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    bn_out = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
-    return x_hat, bn_out.astype(x.dtype)
-
-
 def bn_relu_conv_forward(
     x: np.ndarray,
     mean: np.ndarray,
@@ -93,9 +63,8 @@ def bn_relu_conv_forward(
     """
     acc = resolve_accumulate_dtype(accumulate_dtype, storage=x.dtype)
     # Forward never needs x_hat, so the affine+ReLU streams through the
-    # blocked kernel: no full-width x_hat/bn_out temporaries, identical
-    # bits (the backward below still uses _affine_normalize — it keeps
-    # both tensors).
+    # blocked kernel with no full-width x_hat temporary (the backward below
+    # asks the same kernel to keep it for dgamma).
     conv_in = blocked_affine_normalize(x, mean, var, gamma, beta, eps,
                                        relu=apply_relu,
                                        accumulate_dtype=acc)
@@ -131,25 +100,34 @@ def bn_relu_conv_backward(
     sub-BN1' transform.
     """
     acc = resolve_accumulate_dtype(accumulate_dtype, storage=dy.dtype)
-    x_hat, bn_out = _affine_normalize(bn_x, mean, var, gamma, beta, eps,
-                                      accumulate_dtype=acc)
-    # repro-lint: allow REPRO-ALLOC001 (deliberate naive x_hat path)
-    conv_in = np.maximum(bn_out, 0) if apply_relu else bn_out
+    # One recompute yields both tensors the backward reads: the rectified
+    # convolution input at storage width and x_hat at the math width.
+    conv_in, x_hat = blocked_affine_normalize(
+        bn_x, mean, var, gamma, beta, eps, relu=apply_relu,
+        accumulate_dtype=acc, return_x_hat=True,
+    )
     if acc is not None and acc.itemsize > conv_in.dtype.itemsize:
-        conv_in = conv_in.astype(acc)
+        conv.prepare_backward(conv_in.astype(acc))
         dy_acc = dy.astype(acc)
     else:
+        conv.prepare_backward(conv_in)
         dy_acc = dy
-
-    conv.prepare_backward(conv_in)
     conv.backward_weights(dy_acc)
-    d_conv_in = conv.backward_data(dy_acc)
+    d_bn_out = conv.backward_data(dy_acc)
 
-    d_bn_out = d_conv_in * (bn_out > 0) if apply_relu else d_conv_in
+    if apply_relu:
+        # relu(b) > 0 exactly where b > 0; the product keeps dX's signed
+        # zeros the way an out-of-place mask multiply does.
+        np.multiply(d_bn_out, conv_in > 0, out=d_bn_out)
+    # The dgamma product overwrites x_hat, which nothing reads after it;
+    # a gradient wider than x_hat (wider conv weights) gets its own.
+    if np.result_type(d_bn_out, x_hat) == x_hat.dtype:
+        prod = np.multiply(x_hat, d_bn_out, out=x_hat)
+    else:
+        prod = d_bn_out * x_hat
     # sum(dtype=None) is numpy's default accumulator — one expression
     # covers both the contract (dtype=acc) and the legacy path.
-    dgamma = (d_bn_out * x_hat).sum(axis=(0, 2, 3), dtype=acc) \
-        .astype(gamma.dtype)
+    dgamma = prod.sum(axis=(0, 2, 3), dtype=acc).astype(gamma.dtype)
     dbeta = d_bn_out.sum(axis=(0, 2, 3), dtype=acc).astype(beta.dtype)
     if acc is not None:
         d_bn_out = d_bn_out.astype(dy.dtype, copy=False)

@@ -5,6 +5,15 @@ instruments: a *backward-data* computation (``dX``) and a *backward-weights*
 computation (``dW``), each of which sweeps the relevant mini-batch tensors
 once. That one-to-one mapping is what lets the graph IR attach a faithful
 memory-sweep ledger to each half (see ``repro.graph.sweeps``).
+
+Most shapes are lowered with :func:`~repro.nn.im2col.im2col` to one GEMM.
+A 1x1, stride-1, unpadded convolution is already a GEMM over channels, so
+it skips the lowering: forward and ``dX`` multiply the weight straight into
+NCHW, and only ``dW`` copies its input to channels-last, where it runs the
+lowered path's own GEMM. Forward and ``dX`` give the lowering's bits
+wherever the BLAS sums each dot product in the same order for both operand
+layouts, as OpenBLAS does at every 1x1 shape of the DenseNet-BC training
+miniature (pinned by ``tests/nn/test_conv.py``).
 """
 
 from __future__ import annotations
@@ -59,44 +68,60 @@ class Conv2d(Module):
             else None
         )
 
-        # Backward caches.
+        # Backward caches. ``_saved`` is what backward-weights contracts
+        # dY against: the im2col matrix, or the input itself on the direct
+        # 1x1 path.
         self._x_shape = None
         self._y_shape = None
-        self._cols: Optional[np.ndarray] = None
+        self._saved: Optional[np.ndarray] = None
+
+    @property
+    def direct(self) -> bool:
+        """True for a 1x1, stride-1, unpadded conv, which runs without im2col."""
+        return self.kernel == 1 and self.stride == 1 and self.padding == 0
 
     # -- forward -------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"{self.name}: expected (N,{self.in_channels},H,W), got {x.shape}"
-            )
+        self._check_x(x)
         n = x.shape[0]
-        cols, (out_h, out_w) = im2col(x, self.kernel, self.stride, self.padding)
-        out = cols @ self._w2d().T  # (N*OH*OW, OC)
-        if self.bias is not None:
-            out += self.bias.data
-        y = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-
+        if self.direct:
+            # (OC, C) @ (N, C, H*W) -> (N, OC, H*W): NCHW with no copy.
+            out = np.matmul(self._w2d(), x.reshape(n, self.in_channels, -1))
+            if self.bias is not None:
+                out += self.bias.data[:, None]
+            y = out.reshape((n, self.out_channels) + x.shape[2:])
+            self._saved = x
+        else:
+            cols, (out_h, out_w) = im2col(x, self.kernel, self.stride, self.padding)
+            out = cols @ self._w2d().T  # (N*OH*OW, OC)
+            if self.bias is not None:
+                out += self.bias.data
+            y = np.ascontiguousarray(
+                out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+            )
+            self._saved = cols
         self._x_shape = x.shape
         self._y_shape = y.shape
-        self._cols = cols
-        return np.ascontiguousarray(y)
+        return y
 
     def prepare_backward(self, x: np.ndarray) -> None:
         """Populate backward caches from *x* without running the forward GEMM.
 
         The restructured schedule never stores this convolution's input in
         DRAM (it is recomputed on the fly from the preceding CONV's output),
-        so fused backward kernels rebuild the im2col buffer here instead of
-        relying on a cache left behind by :meth:`forward`.
+        so fused backward kernels hand the recomputed input over here instead
+        of relying on a cache left behind by :meth:`forward`. A lowered conv
+        rebuilds its im2col buffer from it; a direct 1x1 conv keeps a
+        reference, which must not change before :meth:`backward_weights`.
         """
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"{self.name}: expected (N,{self.in_channels},H,W), got {x.shape}"
-            )
-        self._cols, (out_h, out_w) = im2col(x, self.kernel, self.stride, self.padding)
+        self._check_x(x)
+        if self.direct:
+            self._saved = x
+            out_hw = x.shape[2:]
+        else:
+            self._saved, out_hw = im2col(x, self.kernel, self.stride, self.padding)
         self._x_shape = x.shape
-        self._y_shape = (x.shape[0], self.out_channels, out_h, out_w)
+        self._y_shape = (x.shape[0], self.out_channels) + out_hw
 
     # -- backward ------------------------------------------------------------
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -106,10 +131,17 @@ class Conv2d(Module):
 
     def backward_weights(self, dy: np.ndarray) -> None:
         """MKL-DNN-style bwd-weights: reads X (as cached cols) and dY."""
-        if self._cols is None or self._x_shape is None:
+        if self._saved is None or self._x_shape is None:
             raise ExecutionError(f"{self.name}: backward before forward")
         dy2d = self._dy_as_2d(dy)
-        dw = dy2d.T @ self._cols  # (OC, K*K*C)
+        cols = self._saved
+        if self.direct:
+            # The one channels-last copy of X, so dW contracts over N*H*W
+            # in the same GEMM as the lowered path.
+            cols = np.ascontiguousarray(cols.transpose(0, 2, 3, 1)).reshape(
+                -1, self.in_channels
+            )
+        dw = dy2d.T @ cols  # (OC, K*K*C)
         k = self.kernel
         dw = dw.reshape(self.out_channels, k, k, self.in_channels).transpose(0, 3, 1, 2)
         self.weight.accumulate_grad(dw.astype(self.weight.data.dtype))
@@ -120,6 +152,11 @@ class Conv2d(Module):
         """MKL-DNN-style bwd-data: reads dY and W, writes dX."""
         if self._x_shape is None:
             raise ExecutionError(f"{self.name}: backward before forward")
+        if self.direct:
+            self._check_dy(dy)
+            # (C, OC) @ (N, OC, H*W) -> (N, C, H*W), NCHW like the forward.
+            dx = np.matmul(self._w2d().T, dy.reshape(dy.shape[0], self.out_channels, -1))
+            return dx.reshape(self._x_shape)
         dy2d = self._dy_as_2d(dy)
         dcols = dy2d @ self._w2d()  # (N*OH*OW, K*K*C)
         return col2im(dcols, self._x_shape, self.kernel, self.stride, self.padding)
@@ -128,9 +165,18 @@ class Conv2d(Module):
         """The (OC, C, K, K) weight as an (OC, K*K*C) matrix, im2col's column order."""
         return self.weight.data.transpose(0, 2, 3, 1).reshape(self.out_channels, -1)
 
-    def _dy_as_2d(self, dy: np.ndarray) -> np.ndarray:
+    def _check_x(self, x: np.ndarray) -> None:
+        if x.ndim != 4 or x.shape[1] != self.in_channels:
+            raise ShapeError(
+                f"{self.name}: expected (N,{self.in_channels},H,W), got {x.shape}"
+            )
+
+    def _check_dy(self, dy: np.ndarray) -> None:
         if dy.shape != self._y_shape:
             raise ShapeError(f"{self.name}: dY shape {dy.shape} != Y shape {self._y_shape}")
+
+    def _dy_as_2d(self, dy: np.ndarray) -> np.ndarray:
+        self._check_dy(dy)
         return dy.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
 
     def output_hw(self, in_hw):

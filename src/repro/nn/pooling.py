@@ -1,7 +1,15 @@
 """Pooling layers: max, average and global average.
 
 Max/avg pooling are implemented on top of the same sliding-window view the
-convolution uses, so there are no Python-level pixel loops. Backward for
+convolution uses, so there are no Python-level pixel loops. Max pooling's
+forward copies the window view once into K*K contiguous offset planes and
+reduces across them: ``np.maximum.reduce`` gives the output, and the first
+plane equal to it gives the argmax (the first NaN where the maximum is
+NaN). Reducing along a K*K-long innermost window axis instead, as the
+forward used to, took 8.4 against 2.5 ms per call on a (32, 24, 16, 16)
+3x3/stride-2 stem pool in fp32 (median of 60 calls, 2 shared x86 vCPUs).
+Both forms give the same argmax, and so the same gradient; in fp64 they
+can disagree on the sign of a zero maximum. Backward for
 average pooling spreads each gradient evenly over its window with
 :func:`~repro.nn.im2col.accumulate_windows`, the K*K strided-slice adds
 ``col2im`` uses. Backward for max pooling routes each gradient to its
@@ -96,9 +104,20 @@ class MaxPool2d(_Pool2d):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         win = self._windows(x, fill=-np.inf)
-        flat = win.reshape(*self._y_shape, -1)
-        self._argmax = flat.argmax(axis=-1)
-        return flat.max(axis=-1)
+        k = self.kernel
+        # One contiguous plane per kernel offset, so both reductions run
+        # elementwise across K*K planes.
+        planes = np.empty((k * k,) + self._y_shape, dtype=win.dtype)
+        planes.reshape((k, k) + self._y_shape)[...] = win.transpose(4, 5, 0, 1, 2, 3)
+        y = np.maximum.reduce(planes, axis=0)
+        # The first offset holding the maximum, as np.argmax picks it; a
+        # NaN maximum equals nothing, and np.argmax takes the first NaN.
+        argmax = (planes == y).argmax(axis=0)
+        nan = np.isnan(y)
+        if nan.any():
+            argmax[nan] = np.isnan(planes[:, nan]).argmax(axis=0)
+        self._argmax = argmax
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         self._check_dy(dy)

@@ -23,6 +23,9 @@ from repro.kernels.tune import (
 )
 from repro.nn.batchnorm import BatchNorm2d
 
+from tests.conftest import assert_same_bits
+from tests.reference_kernels import affine_normalize
+
 
 def _spec(llc_bytes):
     return HardwareSpec(
@@ -147,6 +150,34 @@ class TestBlockedEdges:
         )
         assert np.array_equal(y, y2)
         assert bn._inv_std is not None  # backward caches intact
+
+
+class TestReturnXHat:
+    """``return_x_hat`` hands back the normalized input at the math dtype,
+    which the fused backward reduces dgamma over, without changing a bit
+    of the normalized output (written straight into the result when the
+    storage dtype is the math dtype, through scratch when it is narrower).
+    """
+
+    @pytest.mark.parametrize("block,threads", [(None, 1), (1, 1), (3, 2)])
+    @pytest.mark.parametrize("acc", [None, np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_matches_naive_x_hat_and_output(self, dtype, acc, block, threads):
+        x = _x(dtype=dtype)
+        c = x.shape[1]
+        mean, var = onepass_stats(x, accumulate_dtype=acc)
+        gamma = np.linspace(0.5, 1.5, c).astype(np.float32)
+        beta = np.linspace(-0.5, 0.5, c).astype(np.float32)
+        kw = dict(relu=True, accumulate_dtype=acc, block_batch=block,
+                  threads=threads)
+        plain = blocked_affine_normalize(x, mean, var, gamma, beta, 1e-5, **kw)
+        y, x_hat = blocked_affine_normalize(x, mean, var, gamma, beta, 1e-5,
+                                            return_x_hat=True, **kw)
+        x_hat_ref, bn_out_ref = affine_normalize(x, mean, var, gamma, beta,
+                                                 1e-5, accumulate_dtype=acc)
+        assert_same_bits(x_hat, x_hat_ref)
+        assert_same_bits(y, np.maximum(bn_out_ref, 0))
+        assert_same_bits(plain, y)
 
 
 class TestThreadKnob:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import rng
 from repro.errors import ExecutionError
+from repro.graph.node import OpKind
 from repro.kernels import (
     FusedChain,
     assert_fused_equal,
@@ -13,10 +14,16 @@ from repro.kernels import (
     bn_relu_conv_forward,
     conv_bn_stats_forward,
     max_abs_diff,
+    onepass_stats,
     relu_conv_backward,
     relu_conv_forward,
 )
+from repro.models import densenet_graph
 from repro.nn import BatchNorm2d, Conv2d, ReLU
+from repro.passes import apply_scenario
+
+from tests import reference_kernels
+from tests.conftest import assert_same_bits
 
 
 def make_chain(seed=0, cin=3, mid=6, cout=4, k2=3):
@@ -112,6 +119,70 @@ class TestBnReluConv:
         assert_fused_equal(dgamma, dg_ref.astype(np.float32), "dgamma")
         assert_fused_equal(dbeta, db_ref.astype(np.float32), "dbeta")
         assert_fused_equal(c2f.weight.grad, c2.weight.grad, "dW2")
+
+
+def miniature_fused_sites():
+    """(C, OC, K, S, P, H, W, relu) of each distinct fused BN-ReLU-CONV site
+    in the bnff_icf DenseNet-BC miniature that perfbench trains."""
+    graph = densenet_graph(blocks=(6, 12), growth=12, image=(3, 32, 32), batch=32,
+                           num_classes=10)
+    graph = apply_scenario(graph, "bnff_icf")[0]
+    sites = set()
+    for node in graph.nodes:
+        if node.kind is OpKind.CONV and node.attrs.get("fused_bn_norm"):
+            a = node.attrs
+            h, w = graph.tensors[node.inputs[0]].shape[2:]
+            sites.add((a["in_channels"], a["out_channels"], a["kernel"], a["stride"],
+                       a["padding"], h, w, bool(a.get("fused_relu"))))
+    return sorted(sites)
+
+
+class TestBnReluConvBackwardAgainstReference:
+    """The fused backward on the blocked kernels keeps the bits of the
+    naive-``_affine_normalize`` version it replaced (kept in
+    ``tests/reference_kernels.py``): ``d_bn_out``, dgamma, dbeta and dW."""
+
+    def _compare(self, n, c, oc, k, s, p, h, w, dtype, acc, relu, seed,
+                 weight_dtype=np.float32):
+        r = rng(seed)
+        bn_x = (2.0 * r.normal(size=(n, c, h, w)) + 0.5).astype(dtype)
+        mean, var = onepass_stats(bn_x, accumulate_dtype=acc)
+        gamma = r.normal(size=c).astype(np.float32)
+        beta = r.normal(size=c).astype(np.float32)
+        got_conv = Conv2d(c, oc, k, s, p, seed=seed)
+        ref_conv = Conv2d(c, oc, k, s, p, seed=seed)
+        for conv in (got_conv, ref_conv):
+            conv.weight.data = conv.weight.data.astype(weight_dtype)
+        dy = r.normal(size=(n, oc) + got_conv.output_hw((h, w))).astype(dtype)
+        got = bn_relu_conv_backward(dy, got_conv, bn_x, mean, var, gamma, beta,
+                                    apply_relu=relu, accumulate_dtype=acc)
+        ref = reference_kernels.bn_relu_conv_backward(
+            dy, ref_conv, bn_x, mean, var, gamma, beta,
+            apply_relu=relu, accumulate_dtype=acc)
+        for a, b in zip(got, ref):
+            assert_same_bits(a, b)
+        assert_same_bits(got_conv.weight.grad, ref_conv.weight.grad)
+
+    @pytest.mark.parametrize("n,c,oc,h,w", [(4, 6, 5, 8, 8), (3, 12, 7, 5, 6),
+                                            (1, 5, 3, 4, 4)])
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("acc", [None, np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_dtype_grid(self, dtype, acc, k, relu, n, c, oc, h, w):
+        self._compare(n, c, oc, k, 1, k // 2, h, w, dtype, acc, relu,
+                      seed=n + c + k)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_gradient_wider_than_x_hat(self, k):
+        """fp64 weights on fp32 data give an fp64 d_bn_out, so the dgamma
+        product runs at fp64 as the reference's does, not inside x_hat."""
+        self._compare(4, 6, 5, k, 1, k // 2, 8, 8, np.float32, None, True,
+                      seed=k, weight_dtype=np.float64)
+
+    @pytest.mark.parametrize("c,oc,k,s,p,h,w,relu", miniature_fused_sites())
+    def test_miniature_sites(self, c, oc, k, s, p, h, w, relu):
+        self._compare(32, c, oc, k, s, p, h, w, np.float32, None, relu, seed=c)
 
 
 class TestFusedChain:

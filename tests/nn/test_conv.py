@@ -1,5 +1,6 @@
 """Conv2d: forward against scipy, backward against numerical gradients,
-and against the (C, K, K)-ordered lowering it replaced."""
+against the (C, K, K)-ordered lowering it replaced, and the direct 1x1
+path against the lowering."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.nn.im2col import accumulate_windows
 from repro.tensors.shapes import conv2d_output_hw
 
 from tests.conftest import assert_same_bits, numerical_gradient, sample_indices
+from tests.reference_kernels import lowered_convs
 
 
 def scipy_conv2d(x, w, stride, padding):
@@ -223,3 +225,134 @@ class TestAgainstCKKLowering:
             bound = (2 * c * k * k * np.finfo(dtype).eps
                      * (np.abs(cols.astype(f64)) @ np.abs(w2d.astype(f64)).T))
             assert np.all(np.abs(y2d.astype(f64) - y2d_ref.astype(f64)) <= bound)
+
+
+def workload_1x1():
+    return [s for s in workload_convs() if s[2:5] == (1, 1, 0)]
+
+
+class TestDirect1x1:
+    """A 1x1, stride-1, unpadded conv multiplies its weight straight into
+    NCHW instead of lowering: no im2col copy, no col2im, no transposes.
+
+    Forward and dX then run GEMMs whose operands play other roles than in
+    the lowered GEMMs (the pixel axis is the output's contiguous axis, not
+    the channel axis), so their bits match the lowering only where the BLAS
+    accumulates each dot product in the same order in both layouts. At the
+    training miniature's shapes (batch 32) that holds, which keeps the
+    training step bit-identical; elsewhere the difference stays within the
+    dot-product rounding bound. dW is the same single GEMM as the lowered
+    path, over the same channels-last copy of X, so it always matches.
+    """
+
+    def _pair(self, c, oc, dtype, bias, seed):
+        a = Conv2d(c, oc, 1, bias=bias, seed=seed)
+        b = Conv2d(c, oc, 1, bias=bias, seed=seed)
+        for conv in (a, b):
+            conv.weight.data = conv.weight.data.astype(dtype)
+            if bias:
+                conv.bias.data = rng(seed).normal(size=oc).astype(dtype)
+        return a, b
+
+    def _run(self, conv, x, dy):
+        y = conv.forward(x)
+        dx = conv.backward(dy)
+        return y, dx
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("c,oc,k,s,p,h,w", workload_1x1())
+    def test_workload_shapes_match_lowering_bitwise(self, c, oc, k, s, p, h, w, dtype, bias):
+        r = rng(c + 7 * h)
+        direct, lowered = self._pair(c, oc, dtype, bias, seed=c)
+        x = r.normal(size=(32, c, h, w)).astype(dtype)
+        dy = r.normal(size=(32, oc, h, w)).astype(dtype)
+        assert direct.direct
+        y, dx = self._run(direct, x, dy)
+        with lowered_convs():
+            y_ref, dx_ref = self._run(lowered, x, dy)
+        assert_same_bits(y, y_ref)
+        assert_same_bits(dx, dx_ref)
+        assert_same_bits(direct.weight.grad, lowered.weight.grad)
+        if bias:
+            assert_same_bits(direct.bias.grad, lowered.bias.grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,c,oc,h,w", [
+        (1, 3, 5, 1, 1), (2, 24, 48, 4, 4), (8, 36, 40, 4, 4), (3, 300, 12, 4, 4),
+        (4, 7, 9, 5, 3),
+    ])
+    def test_other_shapes_within_dot_product_bound(self, n, c, oc, h, w, dtype):
+        r = rng(n + c)
+        direct, lowered = self._pair(c, oc, dtype, False, seed=c)
+        x = r.normal(size=(n, c, h, w)).astype(dtype)
+        dy = r.normal(size=(n, oc, h, w)).astype(dtype)
+        y, dx = self._run(direct, x, dy)
+        with lowered_convs():
+            y_ref, dx_ref = self._run(lowered, x, dy)
+        assert_same_bits(direct.weight.grad, lowered.weight.grad)
+        # Two summation orders of a length-k dot product differ by at most
+        # 2*k*eps times the sum of |products| (see TestAgainstCKKLowering).
+        f64, eps = np.float64, np.finfo(dtype).eps
+        wa = np.abs(direct.weight.data.reshape(oc, c).astype(f64))
+        y_bound = 2 * c * eps * np.einsum("oc,nchw->nohw", wa, np.abs(x.astype(f64)))
+        dx_bound = 2 * oc * eps * np.einsum("oc,nohw->nchw", wa, np.abs(dy.astype(f64)))
+        assert np.all(np.abs(y.astype(f64) - y_ref.astype(f64)) <= y_bound)
+        assert np.all(np.abs(dx.astype(f64) - dx_ref.astype(f64)) <= dx_bound)
+
+    def test_direct_path_never_lowers(self, monkeypatch):
+        import repro.nn.conv as conv_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the direct 1x1 path must not lower")
+
+        monkeypatch.setattr(conv_mod, "im2col", refuse)
+        monkeypatch.setattr(conv_mod, "col2im", refuse)
+        r = rng(11)
+        conv = Conv2d(6, 4, 1, bias=True, seed=2)
+        x = r.normal(size=(2, 6, 5, 5)).astype(np.float32)
+        dy = r.normal(size=(2, 4, 5, 5)).astype(np.float32)
+        conv.forward(x)
+        conv.prepare_backward(x)
+        conv.backward_weights(dy)
+        assert conv.backward_data(dy).shape == x.shape
+
+    @pytest.mark.parametrize("stride,padding", [(2, 0), (1, 1)])
+    def test_strided_or_padded_1x1_still_lowers(self, monkeypatch, stride, padding):
+        import repro.nn.conv as conv_mod
+
+        calls = []
+
+        def counted(name):
+            real = getattr(conv_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("im2col", "col2im"):
+            monkeypatch.setattr(conv_mod, name, counted(name))
+        conv = Conv2d(3, 4, 1, stride=stride, padding=padding, seed=3)
+        assert not conv.direct
+        x = rng(12).normal(size=(2, 3, 6, 6)).astype(np.float32)
+        conv.prepare_backward(x)
+        y = conv.forward(x)
+        conv.backward_data(np.ones_like(y))
+        assert calls == ["im2col", "im2col", "col2im"]
+
+    def test_prepare_backward_keeps_a_reference(self):
+        conv = Conv2d(3, 4, 1, seed=4)
+        x = rng(13).normal(size=(2, 3, 4, 4)).astype(np.float32)
+        conv.prepare_backward(x)
+        assert conv._saved is x
+
+    @pytest.mark.parametrize("dy_shape", [(2, 6, 4, 16), (1, 6, 8, 8), (2, 5, 8, 8)])
+    def test_misshaped_dy_raises(self, dy_shape):
+        conv = Conv2d(4, 6, 1, seed=1)
+        conv.forward(rng(7).normal(size=(2, 4, 8, 8)).astype(np.float32))
+        dy = np.zeros(dy_shape, dtype=np.float32)
+        with pytest.raises(ShapeError):
+            conv.backward_data(dy)
+        with pytest.raises(ShapeError):
+            conv.backward_weights(dy)

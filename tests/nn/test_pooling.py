@@ -7,7 +7,8 @@ from repro.config import rng
 from repro.errors import ExecutionError, ShapeError
 from repro.nn import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 
-from tests.conftest import numerical_gradient, sample_indices
+from tests.conftest import assert_same_bits, numerical_gradient, sample_indices
+from tests.reference_kernels import maxpool_forward
 
 
 class TestMaxPool:
@@ -64,6 +65,56 @@ class TestMaxPool:
         mp(rng(7).normal(size=(2, 4, 8, 8)).astype(np.float32))
         with pytest.raises(ShapeError):
             mp.backward(np.zeros(dy_shape, dtype=np.float32))
+
+
+def pool_input(kind, shape, dtype, seed):
+    r = rng(seed)
+    x = r.normal(size=shape)
+    if kind == "relu":  # post-ReLU: ties at zero in most windows
+        x = np.maximum(x, 0)
+    elif kind == "nan":
+        x[r.random(shape) < 0.05] = np.nan
+    elif kind == "signed_zero":  # windows of +0/-0 ties, some negatives
+        x = np.where(r.random(shape) < 0.5, 0.0, -0.0)
+        neg = r.random(shape) < 0.2
+        x[neg] = -np.abs(r.normal(size=shape))[neg]
+    return x.astype(dtype)
+
+
+class TestMaxPoolAgainstWindowAxis:
+    """The offset-plane forward against max/argmax along the window axis.
+
+    argmax, and so dX, match bit for bit. y matches bit for bit in fp16 and
+    fp32; in fp64 the two forms can disagree on the sign of a zero maximum,
+    so there y matches under == (NaN where the reference has NaN).
+    """
+
+    @pytest.mark.parametrize("kind", ["normal", "relu", "nan", "signed_zero"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("k,s,p,shape", [
+        (3, 2, 1, (4, 5, 16, 16)),  # the miniature stem pool's geometry
+        (2, 2, 0, (3, 4, 8, 8)),
+        (3, 1, 1, (2, 3, 7, 7)),
+        (3, 2, 0, (2, 3, 9, 9)),
+    ])
+    def test_matches_window_axis_reference(self, k, s, p, shape, dtype, kind):
+        x = pool_input(kind, shape, dtype, seed=k + 10 * s + 100 * p)
+        got, ref = MaxPool2d(k, s, p), MaxPool2d(k, s, p)
+        y = got.forward(x)
+        y_ref = maxpool_forward(ref, x)
+        np.testing.assert_array_equal(got._argmax, ref._argmax)
+        if dtype == np.float64:
+            np.testing.assert_array_equal(y, y_ref)  # NaN matches NaN
+        else:
+            assert_same_bits(y, y_ref)
+        dy = rng(5).normal(size=y.shape).astype(dtype)
+        assert_same_bits(got.backward(dy), ref.backward(dy))
+
+    def test_nan_routes_to_first_nan(self):
+        x = np.array([1.0, np.nan, 5.0, np.nan], dtype=np.float32).reshape(1, 1, 2, 2)
+        mp = MaxPool2d(2)
+        assert np.isnan(mp(x)[0, 0, 0, 0])
+        assert mp._argmax[0, 0, 0, 0] == 1
 
 
 class TestAvgPool:

@@ -1,0 +1,113 @@
+"""Test-only references: the code paths the training step used to run.
+
+The library replaced each of these with a faster path that is meant to
+give the same bits. The tests keep the old forms here, unchanged in their
+arithmetic, and compare the new paths against them:
+
+* :func:`bn_relu_conv_backward` — the fused (sub-BN2)-ReLU-CONV2 backward
+  on the naive ``_affine_normalize``, with its full-size ``x_hat``,
+  ``bn_out``, rectified input, ReLU mask and ``d_bn_out * x_hat``
+  temporaries;
+* :func:`maxpool_forward` — max pooling as ``max``/``argmax`` along a
+  K*K-long window axis;
+* :func:`normalize_apply` and :func:`bn_input_grad_transform` — the naive
+  sub-BN2 affine and sub-BN1' transform expressions the blocked kernels
+  reproduce;
+* :func:`lowered_convs` — 1x1 convolutions through ``im2col``/``col2im``
+  instead of the direct channel GEMM.
+"""
+
+from __future__ import annotations
+
+import contextlib
+
+import numpy as np
+
+from repro.kernels.bn_stats import resolve_accumulate_dtype
+from repro.nn import Conv2d
+
+
+def affine_normalize(x, mean, var, gamma, beta, eps, accumulate_dtype=None):
+    """Return ``(x_hat, bn_out)`` for the saved statistics, naively."""
+    acc = resolve_accumulate_dtype(accumulate_dtype, storage=x.dtype)
+    if acc is not None:
+        mean = mean.astype(acc, copy=False)
+        var = var.astype(acc, copy=False)
+        gamma = gamma.astype(acc, copy=False)
+        beta = beta.astype(acc, copy=False)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    bn_out = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
+    return x_hat, bn_out.astype(x.dtype)
+
+
+def bn_relu_conv_backward(dy, conv, bn_x, mean, var, gamma, beta,
+                          eps=1e-5, apply_relu=True, accumulate_dtype=None):
+    """The fused backward as it was before it ran on the blocked kernels."""
+    acc = resolve_accumulate_dtype(accumulate_dtype, storage=dy.dtype)
+    x_hat, bn_out = affine_normalize(bn_x, mean, var, gamma, beta, eps,
+                                     accumulate_dtype=acc)
+    conv_in = np.maximum(bn_out, 0) if apply_relu else bn_out
+    if acc is not None and acc.itemsize > conv_in.dtype.itemsize:
+        conv_in = conv_in.astype(acc)
+        dy_acc = dy.astype(acc)
+    else:
+        dy_acc = dy
+
+    conv.prepare_backward(conv_in)
+    conv.backward_weights(dy_acc)
+    d_conv_in = conv.backward_data(dy_acc)
+
+    d_bn_out = d_conv_in * (bn_out > 0) if apply_relu else d_conv_in
+    dgamma = (d_bn_out * x_hat).sum(axis=(0, 2, 3), dtype=acc) \
+        .astype(gamma.dtype)
+    dbeta = d_bn_out.sum(axis=(0, 2, 3), dtype=acc).astype(beta.dtype)
+    if acc is not None:
+        d_bn_out = d_bn_out.astype(dy.dtype, copy=False)
+    return d_bn_out, dgamma, dbeta
+
+
+def maxpool_forward(pool, x):
+    """``MaxPool2d.forward`` as max/argmax along the flattened window axis."""
+    win = pool._windows(x, fill=-np.inf)
+    flat = win.reshape(*pool._y_shape, -1)
+    pool._argmax = flat.argmax(axis=-1)
+    return flat.max(axis=-1)
+
+
+def normalize_apply(x, mean, inv_std, gamma, beta, relu=False, out=None,
+                    return_x_hat=False, block_batch=None, threads=None):
+    """The historical ``BatchNorm2d.normalize`` expression, plus ReLU."""
+    assert out is None and not return_x_hat
+    x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    y = (gamma[None, :, None, None] * x_hat
+         + beta[None, :, None, None]).astype(x.dtype)
+    return np.maximum(y, 0) if relu else y
+
+
+def bn_input_grad_transform(d_bn_out, bn_x, mean, var, gamma, dgamma, dbeta,
+                            eps, accumulate_dtype=None):
+    """The naive sub-BN1' expression the blocked transform reproduces."""
+    acc = resolve_accumulate_dtype(accumulate_dtype, storage=d_bn_out.dtype)
+    d, x = d_bn_out, bn_x
+    if acc is not None:
+        mean, var, gamma, dgamma, dbeta, d, x = (
+            t.astype(acc) for t in (mean, var, gamma, dgamma, dbeta, d, x))
+    inv_std = 1.0 / np.sqrt(var + eps)
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    g = (gamma * inv_std)[None, :, None, None]
+    return ((g / m) * (m * d - dbeta[None, :, None, None]
+                       - x_hat * dgamma[None, :, None, None])) \
+        .astype(d_bn_out.dtype)
+
+
+@contextlib.contextmanager
+def lowered_convs():
+    """Run every :class:`~repro.nn.Conv2d` through ``im2col``/``col2im``."""
+    direct = Conv2d.direct
+    Conv2d.direct = property(lambda self: False)
+    try:
+        yield
+    finally:
+        Conv2d.direct = direct

@@ -41,7 +41,6 @@ partition-invariant, turning it up changes wall time only.
 
 from __future__ import annotations
 
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -89,19 +88,19 @@ class _ScratchPool:
     """A fixed set of preallocated scratch buffers workers borrow from.
 
     Serial callers see one buffer reused across every tile; threaded
-    callers see one per worker — either way no per-tile allocation.
+    callers see one per worker — either way no per-tile allocation. The
+    pool holds one buffer per worker, so :meth:`get` always finds one, and
+    ``list.pop``/``list.append`` are atomic under the GIL.
     """
 
     def __init__(self, count: int, alloc: Callable[[], object]):
-        self._q: "queue.Queue[object]" = queue.Queue()
-        for _ in range(max(1, count)):
-            self._q.put(alloc())
+        self._bufs = [alloc() for _ in range(max(1, count))]
 
     def get(self):
-        return self._q.get()
+        return self._bufs.pop()
 
     def put(self, buf) -> None:
-        self._q.put(buf)
+        self._bufs.append(buf)
 
 
 def _run_tiles(tiles: Sequence, work: Callable[[object], None],
@@ -333,6 +332,21 @@ def _lift_vectors(*vectors: np.ndarray) -> List[np.ndarray]:
     return [v.astype(common, copy=False) for v in vectors]
 
 
+def _planes(shape: Tuple[int, ...], *vectors: np.ndarray) -> List[np.ndarray]:
+    """Each per-channel vector expanded once to a contiguous (1, C, H, W)
+    plane.
+
+    A broadcast op between an (n, C, H, W) slab and a plane runs one
+    C*H*W-long inner loop per row, where a (1, C, 1, 1) view makes it run
+    n*C loops of H*W elements (16 or 64 at the DenseNet-BC miniature's
+    maps). Every element sees the same operands either way, so the bits
+    do not change.
+    """
+    plane = (1,) + tuple(shape[1:])
+    return [np.ascontiguousarray(np.broadcast_to(v[None, :, None, None], plane))
+            for v in vectors]
+
+
 def _fill_op(src: np.ndarray, vec4: np.ndarray, t: np.ndarray,
              op: Callable) -> None:
     """``t = op(src, vec4)`` at ``t``'s dtype, matching the naive promotion.
@@ -412,10 +426,7 @@ def blocked_normalize_apply(
     pool = _ScratchPool(min(threads, len(slabs)),
                         lambda: np.empty((bn, c, h, w), dtype=math_dt)
                         if narrow else None)
-    m4 = mean[None, :, None, None]
-    i4 = inv_std[None, :, None, None]
-    g4 = gamma[None, :, None, None]
-    b4 = beta[None, :, None, None]
+    m4, i4, g4, b4 = _planes(x.shape, mean, inv_std, gamma, beta)
 
     def work(slab: Tuple[int, int]) -> None:
         n0, n1 = slab
@@ -550,11 +561,8 @@ def blocked_bn_input_grad_transform(
                  np.empty((bn, c, h, w), dtype=d_dt)
                  if narrow_scale else None),
     )
-    m4 = mean[None, :, None, None]
-    i4 = inv_std[None, :, None, None]
-    dg4 = dgamma[None, :, None, None]
-    db4 = dbeta[None, :, None, None]
-    gm4 = g_over_m[None, :, None, None]
+    m4, i4, dg4, db4, gm4 = _planes(d_bn_out.shape, mean, inv_std, dgamma,
+                                    dbeta, g_over_m)
 
     def work(slab: Tuple[int, int]) -> None:
         n0, n1 = slab

@@ -15,6 +15,9 @@ The adjoint direction — :func:`col2im`, and the average-pooling and
 depthwise backwards — adds window patches back into a padded gradient
 with :func:`accumulate_windows`: one strided-slice ``+=`` per kernel
 offset, bit-identical to an ``np.add.at`` scatter over the index grid.
+:class:`~repro.nn.conv.Conv2d` calls :func:`col2im` only for strided
+convolutions (and padding beyond K - 1): a stride-1 convolution takes its
+input gradient from :func:`im2col` of its output gradient instead.
 """
 
 from __future__ import annotations
@@ -105,10 +108,11 @@ def col2im(
 
     # Each slice add runs along the buffer's innermost axis: C in a
     # channels-last buffer (seen through an NCHW view), a strided output
-    # row of OW elements in an NCHW one. Take the longer of the two. In a
-    # DenseNet-BC miniature the stem (C=3, OW=16) adds 3.6x faster into
-    # NCHW and the 3x3 convs (C=48, OW=8 or 4) 1.6-3x faster into
-    # channels-last. One copy at the end hands back contiguous NCHW.
+    # row of OW elements in an NCHW one. Take the longer of the two. The
+    # DenseNet-BC miniature's stem (C=3, OW=16) adds 3.6x faster into
+    # NCHW, and 3x3 windows over 48 channels at OW 8 or 4 add 1.6-3x
+    # faster into channels-last. One copy at the end hands back
+    # contiguous NCHW.
     hp, wp = h + 2 * padding, w + 2 * padding
     if c >= out_w:
         padded = np.zeros((n, hp, wp, c), dtype=cols.dtype).transpose(0, 3, 1, 2)

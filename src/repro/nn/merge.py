@@ -10,12 +10,17 @@ incoming gradients, as the paper observes).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ExecutionError, ShapeError
 from repro.nn.module import Module
+
+
+def _check_dy(name: str, dy: np.ndarray, y_shape: Tuple[int, ...]) -> None:
+    if dy.shape != y_shape:
+        raise ShapeError(f"{name}: dY shape {dy.shape} != Y shape {y_shape}")
 
 
 class Concat(Module):
@@ -28,6 +33,7 @@ class Concat(Module):
     def __init__(self, name: str = "concat"):
         super().__init__(name)
         self._splits: Optional[List[int]] = None
+        self._y_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, xs: Sequence[np.ndarray]) -> np.ndarray:
         if len(xs) < 1:
@@ -39,15 +45,14 @@ class Concat(Module):
                     f"{self.name}: incompatible shapes {[x.shape for x in xs]}"
                 )
         self._splits = [x.shape[1] for x in xs]
-        return np.concatenate(xs, axis=1)
+        y = np.concatenate(xs, axis=1)
+        self._y_shape = y.shape
+        return y
 
     def backward(self, dy: np.ndarray) -> List[np.ndarray]:
         if self._splits is None:
             raise ExecutionError(f"{self.name}: backward before forward")
-        if dy.shape[1] != sum(self._splits):
-            raise ShapeError(
-                f"{self.name}: dY channels {dy.shape[1]} != {sum(self._splits)}"
-            )
+        _check_dy(self.name, dy, self._y_shape)
         out, start = [], 0
         for c in self._splits:
             out.append(dy[:, start : start + c].copy())
@@ -61,6 +66,7 @@ class Add(Module):
     def __init__(self, name: str = "ews"):
         super().__init__(name)
         self._n_inputs: Optional[int] = None
+        self._y_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, xs: Sequence[np.ndarray]) -> np.ndarray:
         if len(xs) < 2:
@@ -72,6 +78,7 @@ class Add(Module):
                     f"{self.name}: mismatched shapes {[x.shape for x in xs]}"
                 )
         self._n_inputs = len(xs)
+        self._y_shape = base
         out = xs[0].copy()
         for x in xs[1:]:
             out += x
@@ -80,6 +87,7 @@ class Add(Module):
     def backward(self, dy: np.ndarray) -> List[np.ndarray]:
         if self._n_inputs is None:
             raise ExecutionError(f"{self.name}: backward before forward")
+        _check_dy(self.name, dy, self._y_shape)
         # The gradient w.r.t. every addend is dY itself; copies keep callers
         # free to mutate independently.
         return [dy.copy() for _ in range(self._n_inputs)]

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ShapeError
 from repro.nn.module import Module
 
 
@@ -32,4 +32,6 @@ class ReLU(Module):
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._y is None:
             raise ExecutionError(f"{self.name}: backward before forward")
+        if dy.shape != self._y.shape:
+            raise ShapeError(f"{self.name}: dY shape {dy.shape} != Y shape {self._y.shape}")
         return dy * (self._y > 0)

@@ -1,6 +1,7 @@
 """Conv2d: forward against scipy, backward against numerical gradients,
-against the (C, K, K)-ordered lowering it replaced, and the direct 1x1
-path against the lowering."""
+against the (C, K, K)-ordered lowering it replaced, the direct 1x1 path
+against the lowering, and the dY-lowering backward of stride-1 K > 1
+convolutions against the lowering of X."""
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from repro.nn.im2col import accumulate_windows
 from repro.tensors.shapes import conv2d_output_hw
 
 from tests.conftest import assert_same_bits, numerical_gradient, sample_indices
-from tests.reference_kernels import lowered_convs
+from tests.reference_kernels import lowered_convs, x_lowering_backward
 
 
 def scipy_conv2d(x, w, stride, padding):
@@ -151,6 +152,39 @@ class TestBackward:
         np.testing.assert_array_equal(a.weight.grad, b.weight.grad)
 
 
+def gamma(n, dtype):
+    """Higham's ``gamma_n = n*u / (1 - n*u)``, ``u = eps / 2`` of *dtype*.
+
+    A length-n dot product summed in any order, with every product and
+    partial sum rounded to unit roundoff u or finer, lands within
+    ``gamma_n * sum|a_i * b_i|`` of the exact value (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 3.1).
+    """
+    u = np.finfo(dtype).eps / 2
+    assert n * u < 1, f"gamma_{n} is unbounded in {np.dtype(dtype)}"
+    return n * u / (1 - n * u)
+
+
+def gemm_gamma(n, dtype):
+    """``gamma_n`` for one numpy GEMM of inner length n in *dtype*.
+
+    numpy multiplies float16 matrices without BLAS: it sums in float32 and
+    rounds each result once, which stays within
+    ``u16 + gamma_n(float32) * (1 + u16)`` where ``gamma_n(float16)`` would
+    be unbounded for n >= 2048.
+    """
+    if np.dtype(dtype) == np.float16:
+        u = np.finfo(np.float16).eps / 2
+        return u + gamma(n, np.float32) * (1 + u)
+    return gamma(n, dtype)
+
+
+def assert_within(got, ref, bound):
+    """``|got - ref| <= bound`` elementwise, evaluated in fp64."""
+    diff = np.abs(got.astype(np.float64) - ref.astype(np.float64))
+    assert np.all(diff <= bound), float(np.max(diff - bound))
+
+
 def im2col_ckk(x, kernel, stride, padding):
     """The earlier lowering: ``(N*OH*OW, C*K*K)``, columns in (C, K, K) order."""
     n = x.shape[0]
@@ -188,15 +222,19 @@ def workload_convs():
 class TestAgainstCKKLowering:
     """The (K, K, C) column order against the (C, K, K) one it replaced.
 
-    The backward GEMMs reduce over OC and over N*OH*OW, which the column
-    order only permutes, so ``dX`` and ``dW`` keep their bits. The forward
-    GEMM reduces over a window's C*K*K products, whose summation order the
-    column order sets; at K = 1 the two orders coincide. Any order of a
-    length-n dot product lands within ``gamma_n * sum|a_i * b_i|`` of the
-    exact value, ``gamma_n = n*u / (1 - n*u)`` with ``u = eps / 2`` (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 3.1). Two orders
-    therefore differ by at most ``2 * gamma_n * sum|a_i * b_i|``, and
-    ``2 * gamma_n < 2 * n * eps`` while ``n*u < 1/2``.
+    The backward GEMMs of the lowering of X reduce over OC and over
+    N*OH*OW, which the column order only permutes, so the 1x1 and strided
+    (stem) ``dX`` and ``dW`` keep their bits. The forward GEMM reduces over
+    a window's C*K*K products, whose summation order the column order sets;
+    at K = 1 the two orders coincide. Any order of a length-n dot product
+    lands within ``gamma_n * sum|a_i * b_i|`` of the exact value (see
+    :func:`gamma`), so two orders differ by at most
+    ``2 * gamma_n * sum|a_i * b_i|``, and ``2 * gamma_n < 2 * n * eps``
+    while ``n*u < 1/2``. The stride-1 K = 3 convs lower dY instead of X
+    (:class:`TestLoweredDy`), which sums dX's K*K*OC products and dW's
+    products over N*H*W input pixels in other orders: those are held to the
+    same bound with n = K*K*OC and n = N*max(H*W, OH*OW), the latter through
+    :func:`gemm_gamma` because dW is one GEMM on both sides.
     """
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
@@ -216,8 +254,19 @@ class TestAgainstCKKLowering:
         y2d = y.transpose(0, 2, 3, 1).reshape(-1, oc)
         y2d_ref = cols @ w2d.T
         dy2d = dy.transpose(0, 2, 3, 1).reshape(-1, oc)
-        assert_same_bits(dx, col2im_ckk(dy2d @ w2d, x.shape, k, s, p))
-        assert_same_bits(conv.weight.grad, (dy2d.T @ cols).reshape(conv.weight.data.shape))
+        dx_ref = col2im_ckk(dy2d @ w2d, x.shape, k, s, p)
+        dw_ref = (dy2d.T @ cols).reshape(conv.weight.data.shape)
+        if conv.lowers_dy:
+            f64 = np.float64
+            dy_abs, w_abs = np.abs(dy2d.astype(f64)), np.abs(w2d.astype(f64))
+            dx_sum = col2im_ckk(dy_abs @ w_abs, x.shape, k, s, p)
+            dw_sum = (dy_abs.T @ np.abs(cols.astype(f64))).reshape(dw_ref.shape)
+            assert_within(dx, dx_ref, 2 * gamma(k * k * oc, dtype) * dx_sum)
+            m = n * max(h * w, y.shape[2] * y.shape[3])
+            assert_within(conv.weight.grad, dw_ref, 2 * gemm_gamma(m, dtype) * dw_sum)
+        else:
+            assert_same_bits(dx, dx_ref)
+            assert_same_bits(conv.weight.grad, dw_ref)
         if k == 1:
             assert_same_bits(y2d, y2d_ref)
         else:
@@ -356,3 +405,115 @@ class TestDirect1x1:
             conv.backward_data(dy)
         with pytest.raises(ShapeError):
             conv.backward_weights(dy)
+
+
+@pytest.fixture
+def lowering_calls(monkeypatch):
+    """``(name, first argument)`` of every ``im2col``/``col2im`` call
+    ``repro.nn.conv`` makes, in order."""
+    import repro.nn.conv as conv_mod
+
+    calls = []
+
+    def counted(name):
+        real = getattr(conv_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[0]))
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("im2col", "col2im"):
+        monkeypatch.setattr(conv_mod, name, counted(name))
+    return calls
+
+
+class TestLoweredDy:
+    """A stride-1 conv with K > 1 and padding p <= K - 1 backpropagates
+    through ``D = im2col(dY, K, 1, K - 1 - p)``: ``dX = D @ W_flip`` and
+    ``dW = D.T @ X``, with no ``col2im`` and no lowering of X.
+
+    Both sum the products of the lowering of X
+    (``tests/reference_kernels.py::x_lowering_backward``) in another order:
+    each ``dX`` element sums K*K*OC products, and each ``dW`` element runs
+    over N*H*W input pixels where the lowering of X runs over N*OH*OW
+    output pixels (the extra terms are zeros). So each stays within
+    ``2 * gamma_n * sum|a_i * b_i|`` of the reference (see
+    :class:`TestAgainstCKKLowering`), with n = K*K*OC for ``dX`` and
+    n = N*max(H*W, OH*OW) for ``dW``. ``db`` is the same sum as before and
+    keeps its bits.
+    """
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("k,p", [(k, p) for k in (2, 3, 5) for p in range(k)])
+    def test_within_dot_product_bound_of_x_lowering(self, k, p, dtype, bias):
+        n, c, oc, h, w = 3, 5, 4, 6, 9
+        r = rng(10 * k + p)
+        conv = Conv2d(c, oc, k, padding=p, bias=bias, seed=k)
+        conv.weight.data = conv.weight.data.astype(dtype)
+        assert conv.lowers_dy
+        x = r.normal(size=(n, c, h, w)).astype(dtype)
+        y = conv.forward(x)
+        dy = r.normal(size=y.shape).astype(dtype)
+        dx = conv.backward(dy)
+
+        wt = conv.weight.data
+        dx_ref, dw_ref, db_ref = x_lowering_backward(x, wt, dy, 1, p)
+        dx_sum, dw_sum, _ = x_lowering_backward(
+            *(np.abs(t.astype(np.float64)) for t in (x, wt, dy)), 1, p)
+        assert dx.shape == x.shape and dx.dtype == dx_ref.dtype
+        assert dx.flags.c_contiguous
+        assert_within(dx, dx_ref, 2 * gamma(k * k * oc, dtype) * dx_sum)
+        m = n * max(h * w, y.shape[2] * y.shape[3])
+        assert_within(conv.weight.grad, dw_ref, 2 * gemm_gamma(m, dtype) * dw_sum)
+        if bias:
+            assert_same_bits(conv.bias.grad, db_ref.astype(conv.bias.data.dtype))
+
+    def test_backward_lowers_dy_once_and_never_scatters(self, lowering_calls):
+        r = rng(21)
+        conv = Conv2d(4, 6, 3, padding=1, seed=5)
+        x = r.normal(size=(2, 4, 5, 7)).astype(np.float32)
+        dy = r.normal(size=(2, 6, 5, 7)).astype(np.float32)
+        conv.prepare_backward(x)
+        assert lowering_calls == []
+        assert conv._saved is x
+        conv.backward(dy)
+        assert [(name, arg is dy) for name, arg in lowering_calls] == [("im2col", True)]
+
+    def test_forward_keeps_the_input_not_its_columns(self, lowering_calls):
+        conv = Conv2d(4, 6, 3, padding=1, seed=5)
+        x = rng(22).normal(size=(2, 4, 5, 7)).astype(np.float32)
+        conv.forward(x)
+        assert conv._saved is x
+        assert [(name, arg is x) for name, arg in lowering_calls] == [("im2col", True)]
+
+    @pytest.mark.parametrize("stride,padding", [(2, 1), (1, 3)])
+    def test_strided_or_wider_padded_conv_still_lowers_x(self, lowering_calls,
+                                                         stride, padding):
+        r = rng(23)
+        conv = Conv2d(3, 4, 3, stride=stride, padding=padding, seed=3)
+        assert not conv.lowers_dy
+        x = r.normal(size=(2, 3, 6, 7)).astype(np.float32)
+        conv.prepare_backward(x)
+        y = conv.forward(x)
+        dy = r.normal(size=y.shape).astype(np.float32)
+        dx = conv.backward(dy)
+        assert [name for name, _ in lowering_calls] == ["im2col", "im2col", "col2im"]
+        dx_ref, dw_ref, _ = x_lowering_backward(x, conv.weight.data, dy, stride, padding)
+        assert_same_bits(dx, dx_ref)
+        assert_same_bits(conv.weight.grad, dw_ref.astype(conv.weight.data.dtype))
+
+    def test_backward_data_reuses_the_lowering_of_the_same_dy_only(self, lowering_calls):
+        r = rng(24)
+        conv = Conv2d(4, 6, 3, padding=1, seed=5)
+        x = r.normal(size=(2, 4, 5, 7)).astype(np.float32)
+        dy, other = r.normal(size=(2, 2, 6, 5, 7)).astype(np.float32)
+        conv.forward(x)
+        dx_alone = conv.backward_data(dy)
+        conv.backward_weights(other)
+        assert_same_bits(conv.backward_data(dy), dx_alone)
+        conv.backward_weights(dy)
+        assert_same_bits(conv.backward_data(dy), dx_alone)
+        lowered = [arg for name, arg in lowering_calls if name == "im2col"][1:]
+        assert [a is dy for a in lowered] == [True, False, True, True]

@@ -33,6 +33,14 @@ class TestReLU:
         with pytest.raises(ExecutionError):
             ReLU().backward(np.zeros(3))
 
+    @pytest.mark.parametrize("dy_shape", [(1, 3, 1, 1), (2, 3, 16), (2, 3, 4, 5)])
+    def test_misshaped_dy_raises(self, dy_shape):
+        # (1, 3, 1, 1) used to broadcast to the input shape.
+        relu = ReLU()
+        relu(rng(5).normal(size=(2, 3, 4, 4)).astype(np.float32))
+        with pytest.raises(ShapeError):
+            relu.backward(np.ones(dy_shape, dtype=np.float32))
+
 
 class TestLinear:
     def test_forward_shape_and_value(self):
@@ -87,6 +95,15 @@ class TestConcat:
         with pytest.raises(ShapeError):
             Concat()([np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 5, 5))])
 
+    @pytest.mark.parametrize("dy_shape", [(1, 8, 2, 2), (2, 8, 4, 2), (2, 7, 4, 4)])
+    def test_misshaped_dy_raises(self, dy_shape):
+        # (1, 8, 2, 2) has the output's channels, which used to be enough
+        # to get slices of it back.
+        cat = Concat()
+        cat([np.zeros((2, 3, 4, 4), np.float32), np.zeros((2, 5, 4, 4), np.float32)])
+        with pytest.raises(ShapeError):
+            cat.backward(np.ones(dy_shape, dtype=np.float32))
+
 
 class TestAdd:
     def test_forward_sums(self):
@@ -105,6 +122,14 @@ class TestAdd:
     def test_single_input_raises(self):
         with pytest.raises(ShapeError):
             Add()([np.zeros((2, 2))])
+
+    @pytest.mark.parametrize("dy_shape", [(2, 3), (1, 2), (2, 2, 1)])
+    def test_misshaped_dy_raises(self, dy_shape):
+        # Any dY used to come back as copies.
+        add = Add()
+        add([np.zeros((2, 2)), np.zeros((2, 2))])
+        with pytest.raises(ShapeError):
+            add.backward(np.ones(dy_shape))
 
 
 class TestSoftmaxCrossEntropy:

@@ -14,7 +14,12 @@ arithmetic, and compare the new paths against them:
   sub-BN2 affine and sub-BN1' transform expressions the blocked kernels
   reproduce;
 * :func:`lowered_convs` — 1x1 convolutions through ``im2col``/``col2im``
-  instead of the direct channel GEMM.
+  instead of the direct channel GEMM;
+* :func:`x_lowering_backward` and :func:`conv_backward` — the backward of a
+  stride-1 K > 1 convolution through the lowering of its input X
+  (``dW = dY2d.T @ im2col(X)``, ``dX = col2im(dY2d @ W2d)``) instead of
+  the lowering of dY. Unlike the others it does not give the same bits,
+  only the same sums in another order.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 
 from repro.kernels.bn_stats import resolve_accumulate_dtype
 from repro.nn import Conv2d
+from repro.nn.im2col import col2im, im2col
 
 
 def affine_normalize(x, mean, var, gamma, beta, eps, accumulate_dtype=None):
@@ -111,3 +117,33 @@ def lowered_convs():
         yield
     finally:
         Conv2d.direct = direct
+
+
+def x_lowering_backward(x, weight, dy, stride, padding):
+    """``(dX, dW, db)`` of a convolution through the lowering of X.
+
+    The backward every K > 1 ``Conv2d`` ran before stride-1 convolutions
+    lowered dY: ``cols = im2col(X)``, ``dW = dY2d.T @ cols`` and
+    ``dX = col2im(dY2d @ W2d)``, with ``db`` summed over ``dY2d``'s rows.
+    """
+    oc, c, k, _ = weight.shape
+    cols, _ = im2col(x, k, stride, padding)
+    dy2d = dy.transpose(0, 2, 3, 1).reshape(-1, oc)
+    w2d = weight.transpose(0, 2, 3, 1).reshape(oc, -1)
+    dw = (dy2d.T @ cols).reshape(oc, k, k, c).transpose(0, 3, 1, 2)
+    dx = col2im(dy2d @ w2d, x.shape, k, stride, padding)
+    return dx, dw, dy2d.sum(axis=0)
+
+
+def conv_backward(conv, dy):
+    """``Conv2d.backward`` with :func:`x_lowering_backward` for every conv
+    that lowers dY (the rest run their own backward)."""
+    if not conv.lowers_dy:
+        conv.backward_weights(dy)
+        return conv.backward_data(dy)
+    dx, dw, db = x_lowering_backward(conv._saved, conv.weight.data, dy,
+                                     conv.stride, conv.padding)
+    conv.weight.accumulate_grad(dw.astype(conv.weight.data.dtype))
+    if conv.bias is not None:
+        conv.bias.accumulate_grad(db.astype(conv.bias.data.dtype))
+    return dx

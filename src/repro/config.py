@@ -80,32 +80,6 @@ def dtype_bytes(dtype) -> int:
     return DTYPE_BYTES[np.dtype(dtype)]
 
 
-#: Environment knob for thread-parallel channel reductions in the blocked
-#: kernels (:mod:`repro.kernels.blocked`). Unset or 1 keeps every kernel
-#: serial — and therefore bit-identical to the historical numbers; the
-#: blocked reduction order is partition- and thread-invariant either way,
-#: so raising it changes wall time only.
-KERNEL_THREADS_ENV = "REPRO_KERNEL_THREADS"
-
-
-def kernel_threads() -> int:
-    """Worker-thread count for blocked-kernel reductions (default 1).
-
-    Read per call (not cached at import) so tests and benchmarks can flip
-    the environment variable without re-importing. Values below 1 clamp to
-    1; a non-integer raises ``ValueError`` rather than silently running
-    serial.
-    """
-    raw = os.environ.get(KERNEL_THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{KERNEL_THREADS_ENV} must be an integer, got {raw!r}"
-        ) from None
-    return max(1, n)
-
-
 def _env_flag(name: str) -> bool:
     """Whether the environment switch *name* is on (default: off).
 

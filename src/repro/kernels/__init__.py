@@ -19,9 +19,9 @@ minimal number of times prescribed by the paper's Figure 5:
 * :mod:`repro.kernels.bn_relu_conv_fused` — (sub-BN2)-ReLU-CONV2: normalize
   + clip while the following convolution reads its input; backward recovers
   the ReLU mask and BN x-hat from tensors the convolution reads anyway.
-* :mod:`repro.kernels.blocked` — the same statistics and elementwise
-  transforms executed through LLC-sized tiles with preallocated scratch
-  (bit-identical to the naive kernels at every block/thread count).
+* :mod:`repro.kernels.blocked` — the one-pass statistics and the
+  elementwise transforms streamed through cache-resident scratch
+  (bit-identical to the naive kernels at every block size).
 * :mod:`repro.kernels.tune` — residency-driven block-size selection,
   reusing the simulator's :class:`~repro.hw.cache.CacheModel` rule.
 
@@ -40,20 +40,19 @@ measured fp32-accumulation variant (and every tensor-core GEMM) works.
 from repro.kernels.bf16 import bf16_round
 from repro.kernels.blocked import (
     blocked_onepass_stats,
-    blocked_twopass_stats,
-    blocked_chunked_onepass_stats,
     blocked_affine_normalize,
     blocked_normalize_apply,
     blocked_bn_input_grad_transform,
 )
 from repro.kernels.tune import (
-    choose_block_channels,
+    choose_block_width,
     choose_block_batch,
     clear_tuning_cache,
     detect_local_llc_bytes,
     local_hardware_spec,
 )
 from repro.kernels.bn_stats import (
+    channel_sum,
     onepass_stats,
     onepass_stats_fp32,
     twopass_stats,
@@ -76,6 +75,7 @@ from repro.kernels.bn_relu_conv_fused import (
 from repro.kernels.verify import max_abs_diff, assert_fused_equal
 
 __all__ = [
+    "channel_sum",
     "onepass_stats",
     "onepass_stats_fp32",
     "twopass_stats",
@@ -94,12 +94,10 @@ __all__ = [
     "bn_relu_conv_backward",
     "FusedChain",
     "blocked_onepass_stats",
-    "blocked_twopass_stats",
-    "blocked_chunked_onepass_stats",
     "blocked_affine_normalize",
     "blocked_normalize_apply",
     "blocked_bn_input_grad_transform",
-    "choose_block_channels",
+    "choose_block_width",
     "choose_block_batch",
     "clear_tuning_cache",
     "detect_local_llc_bytes",

@@ -29,7 +29,7 @@ import numpy as np
 from repro.config import BN_EPSILON
 from repro.errors import ExecutionError
 from repro.kernels.blocked import blocked_affine_normalize
-from repro.kernels.bn_stats import resolve_accumulate_dtype
+from repro.kernels.bn_stats import channel_sum, resolve_accumulate_dtype
 from repro.kernels.conv_bn_fused import (
     conv_bn_input_grad_backward,
     conv_bn_stats_forward,
@@ -125,10 +125,10 @@ def bn_relu_conv_backward(
         prod = np.multiply(x_hat, d_bn_out, out=x_hat)
     else:
         prod = d_bn_out * x_hat
-    # sum(dtype=None) is numpy's default accumulator — one expression
-    # covers both the contract (dtype=acc) and the legacy path.
-    dgamma = prod.sum(axis=(0, 2, 3), dtype=acc).astype(gamma.dtype)
-    dbeta = d_bn_out.sum(axis=(0, 2, 3), dtype=acc).astype(beta.dtype)
+    # acc=None sums at numpy's default accumulator — one expression covers
+    # both the contract (acc set) and the legacy path.
+    dgamma = channel_sum(prod, acc).astype(gamma.dtype)
+    dbeta = channel_sum(d_bn_out, acc).astype(beta.dtype)
     if acc is not None:
         d_bn_out = d_bn_out.astype(dy.dtype, copy=False)
     return d_bn_out, dgamma, dbeta

@@ -26,13 +26,24 @@ explicit **accumulate-dtype contract**:
   matching :class:`~repro.nn.batchnorm.BatchNorm2d`, which keeps stats and
   affine parameters wide and downcasts only final outputs.
 
-Defaults preserve the historical (and fp32-bit-identical) behaviour:
-:func:`onepass_stats` and :func:`chunked_onepass_stats` accumulate in fp64
-(free on CPU SIMD units, and what a careful fp32 kernel approximates with
-Kahan-style tricks), :func:`twopass_stats` in the input dtype lifted to at
-least fp32, and :func:`onepass_stats_fp32` strictly in fp32 — the paper's
-measured variant, kept so tests and :mod:`repro.kernels.drift` can
-quantify the Section 3.2 precision claim directly.
+Defaults: :func:`onepass_stats` and :func:`chunked_onepass_stats`
+accumulate in fp64 (free on CPU SIMD units, and what a careful fp32 kernel
+approximates with Kahan-style tricks), :func:`twopass_stats` in the input
+dtype lifted to at least fp32, and :func:`onepass_stats_fp32` strictly in
+fp32 — the paper's measured variant, kept so tests and
+:mod:`repro.kernels.drift` can quantify the Section 3.2 precision claim
+directly.
+
+**Summation order.** Every per-channel sum of the training step —
+these statistics, ``BatchNorm2d``'s two passes and its dgamma/dbeta, and
+the fused kernels' and the executor's dgamma/dbeta — goes through
+:func:`channel_sum`: the N batch rows are added in order into one C*H*W
+vector, then each channel's contiguous H*W run is summed pairwise. numpy's
+``x.sum(axis=(0, 2, 3))`` computes the same sums as N*C separate pairwise
+reductions of H*W elements, which at the 4x4 and 8x8 maps of a DenseNet
+block costs several elementwise passes. Both graphs of a comparison sum in
+the same order. :func:`chunked_onepass_stats` keeps its per-chunk tree,
+because it models the GPU kernel.
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ from repro.config import stat_dtype
 from repro.errors import PrecisionError, ShapeError
 
 __all__ = [
-    "twopass_stats", "onepass_stats", "onepass_stats_fp32",
+    "channel_sum", "twopass_stats", "onepass_stats", "onepass_stats_fp32",
     "chunked_onepass_stats", "resolve_accumulate_dtype", "stat_dtype",
 ]
 
@@ -91,6 +102,32 @@ def resolve_accumulate_dtype(
     return acc
 
 
+def channel_sum(
+    x: np.ndarray, accumulate_dtype: _DTypeLike = None
+) -> np.ndarray:
+    """Per-channel sum of an NCHW array over (N, H, W), batch rows first.
+
+    ``x.sum(axis=0, dtype=acc)`` adds the N batch rows in order into one
+    C*H*W vector, one long inner loop per row; ``reshape(C, -1).sum(axis=1)``
+    then sums each channel's contiguous H*W run pairwise. (When a batch row
+    holds a single element, numpy sums the N of them as one contiguous
+    pairwise run instead.) ``accumulate_dtype`` follows the module contract:
+    fp32 or wider, lifted to the storage dtype; ``None`` keeps numpy's
+    default accumulator, the input dtype.
+    """
+    _check_nchw(x)
+    acc = resolve_accumulate_dtype(accumulate_dtype, storage=x.dtype)
+    return _sum_channel_runs(x.sum(axis=0, dtype=acc), x.shape[1])
+
+
+def _sum_channel_runs(rowsum: np.ndarray, channels: int) -> np.ndarray:
+    """Second half of :func:`channel_sum`'s order: each channel's H*W run
+    of the batch-summed C*H*W vector, summed pairwise. The blocked MVF
+    kernel finishes through it too, which is what keeps it bitwise equal
+    to :func:`onepass_stats`."""
+    return rowsum.reshape(channels, -1).sum(axis=1)
+
+
 def twopass_stats(
     x: np.ndarray, accumulate_dtype: _DTypeLike = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -106,9 +143,11 @@ def twopass_stats(
                                    default=stat_dtype(x.dtype),
                                    storage=x.dtype)
     out = stat_dtype(x.dtype)
-    mean = x.mean(axis=(0, 2, 3), dtype=acc)
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    mean = channel_sum(x, acc) / m
     centered = x.astype(acc, copy=False) - mean[None, :, None, None]
-    var = (centered * centered).mean(axis=(0, 2, 3), dtype=acc)
+    np.multiply(centered, centered, out=centered)
+    var = channel_sum(centered, acc) / m
     return mean.astype(out), var.astype(out)
 
 
@@ -128,13 +167,12 @@ def onepass_stats(
                                    storage=x.dtype)
     out = stat_dtype(x.dtype)
     m = x.shape[0] * x.shape[2] * x.shape[3]
-    # One upcast, two reductions over it: summing the original narrow array
-    # with dtype=acc gives bit-identical sums (the upcast is exact and the
-    # pairwise reduction order is unchanged) but reads the input a second
-    # time — reuse xa for both so the data is swept once.
-    xa = x.astype(acc, copy=False)
-    s1 = xa.sum(axis=(0, 2, 3), dtype=acc)
-    s2 = (xa * xa).sum(axis=(0, 2, 3), dtype=acc)
+    # One copy at the accumulator width, squared in place once its sum is
+    # taken. It is a copy even when x is already that wide, so the
+    # caller's array is never squared.
+    xa = x.astype(acc)
+    s1 = channel_sum(xa, acc)
+    s2 = channel_sum(np.multiply(xa, xa, out=xa), acc)
     mean = s1 / m
     var = np.maximum(s2 / m - mean * mean, acc.type(0.0))
     return mean.astype(out), var.astype(out)

@@ -10,8 +10,8 @@ to tune for a modeled machine, or nothing to tune for the machine the
 process is running on (LLC size detected from sysfs / ``os.sysconf``, with
 a conservative fallback).
 
-Choices are memoized per (shape, dtype, kernel, cache-budget, threads) —
-the chooser runs once per distinct workload, not once per kernel call.
+Choices are memoized per (shape, dtype, kernel, cache budget) — the
+chooser runs once per distinct workload, not once per kernel call.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.tensors.tensor_spec import TensorKind, TensorSpec
 __all__ = [
     "detect_local_llc_bytes",
     "local_hardware_spec",
-    "choose_block_channels",
+    "choose_block_width",
     "choose_block_batch",
     "clear_tuning_cache",
 ]
@@ -153,62 +153,45 @@ def _largest_resident(per_unit_bytes: int, limit: int,
 
 
 @functools.lru_cache(maxsize=1024)
-def _choose_block_channels(shape: Tuple[int, int, int, int],
-                           storage_itemsize: int, acc_itemsize: int,
-                           kernel: str, budget: Tuple[int, float],
-                           threads: int) -> int:
-    n, c, h, w = shape
-    # Per channel of tile: the accumulate-width scratch the reductions
-    # revisit, plus the storage-width slab streaming through the cache
-    # alongside it. Each worker thread holds its own tile concurrently.
-    per_channel = n * h * w * (acc_itemsize + storage_itemsize)
-    per_channel *= max(1, threads)
-    bc = _largest_resident(per_channel, c, budget)
-    if threads > 1:
-        # Leave at least one tile per worker so the pool has work.
-        bc = min(bc, max(1, -(-c // threads)))
-    return bc
+def _choose_block_width(width: int, storage_itemsize: int, acc_itemsize: int,
+                        budget: Tuple[int, float]) -> int:
+    # Per element of the run: the two running sums and the squared-row
+    # scratch at the accumulator width, plus the storage-width row
+    # streaming through the cache alongside them.
+    return _largest_resident(3 * acc_itemsize + storage_itemsize, width,
+                             budget)
 
 
-def choose_block_channels(shape, storage_dtype, accumulate_dtype,
-                          kernel: str = "onepass",
-                          hw: Optional[HardwareSpec] = None,
-                          threads: int = 1) -> int:
-    """Channel-tile width for the blocked statistics kernels.
+def choose_block_width(shape, storage_dtype, accumulate_dtype,
+                       hw: Optional[HardwareSpec] = None) -> int:
+    """Run length for the blocked statistics kernel's row stream.
 
-    ``shape`` is the NCHW input; the chosen tile is the widest channel
-    group whose ``(N, bc, H, W)`` accumulate-dtype scratch (plus the
-    storage-width slab it is filled from, times ``threads`` concurrent
-    workers) stays LLC-resident under *hw* (default: this host).
+    ``shape`` is the NCHW input; the chosen run is the longest stretch of
+    one batch row (at most C*H*W elements) whose two running sums and
+    squared-row scratch at the accumulator width, plus the storage-width
+    row they are filled from, stay LLC-resident under *hw* (default: this
+    host).
     """
     n, c, h, w = (int(d) for d in shape)
-    return _choose_block_channels(
-        (n, c, h, w), np.dtype(storage_dtype).itemsize,
-        np.dtype(accumulate_dtype).itemsize, kernel, _budget_key(hw),
-        max(1, int(threads)),
-    )
+    return _choose_block_width(c * h * w, np.dtype(storage_dtype).itemsize,
+                               np.dtype(accumulate_dtype).itemsize,
+                               _budget_key(hw))
 
 
 @functools.lru_cache(maxsize=1024)
 def _choose_block_batch(shape: Tuple[int, int, int, int],
                         storage_itemsize: int, math_itemsize: int,
                         scratch_tensors: int, stream_tensors: int,
-                        kernel: str, budget: Tuple[int, float],
-                        threads: int) -> int:
+                        kernel: str, budget: Tuple[int, float]) -> int:
     n, c, h, w = shape
     per_row = c * h * w * (scratch_tensors * math_itemsize
                            + stream_tensors * storage_itemsize)
-    per_row *= max(1, threads)
-    bn = _largest_resident(per_row, n, budget)
-    if threads > 1:
-        bn = min(bn, max(1, -(-n // threads)))
-    return bn
+    return _largest_resident(per_row, n, budget)
 
 
 def choose_block_batch(shape, storage_dtype, math_dtype,
                        kernel: str = "normalize",
                        hw: Optional[HardwareSpec] = None,
-                       threads: int = 1,
                        scratch_tensors: int = 1,
                        stream_tensors: int = 2) -> int:
     """Batch-slab height for the blocked elementwise transforms.
@@ -221,11 +204,11 @@ def choose_block_batch(shape, storage_dtype, math_dtype,
     return _choose_block_batch(
         (n, c, h, w), np.dtype(storage_dtype).itemsize,
         np.dtype(math_dtype).itemsize, int(scratch_tensors),
-        int(stream_tensors), kernel, _budget_key(hw), max(1, int(threads)),
+        int(stream_tensors), kernel, _budget_key(hw),
     )
 
 
 def clear_tuning_cache() -> None:
     """Drop memoized block choices (tests re-tune under synthetic specs)."""
-    _choose_block_channels.cache_clear()
+    _choose_block_width.cache_clear()
     _choose_block_batch.cache_clear()

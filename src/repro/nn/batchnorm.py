@@ -23,6 +23,12 @@ is downcast to the input's storage dtype. Sub-fp32 inputs therefore
 normalize through fp32 arithmetic instead of having the affine parameters
 silently truncated to fp16 first; fp32/fp64 inputs are bit-identical to
 the historical behaviour.
+
+Every per-channel sum goes through
+:func:`repro.kernels.bn_stats.channel_sum` (batch rows first, then each
+channel's H*W run), the order the restructured graph's kernels sum in too.
+It is imported lazily: the kernels package pulls in the fused kernels,
+which import this module back at their top level.
 """
 
 from __future__ import annotations
@@ -80,8 +86,11 @@ class BatchNorm2d(Module):
         Accumulated (and returned) at ``max(input, fp32)`` — a sub-fp32
         input never truncates its own statistics.
         """
+        from repro.kernels.bn_stats import channel_sum
+
         self._check_input(x)
-        return x.mean(axis=(0, 2, 3), dtype=self._stat_dtype(x))
+        m = x.shape[0] * x.shape[2] * x.shape[3]
+        return channel_sum(x, self._stat_dtype(x)) / m
 
     def compute_var(self, x: np.ndarray, mean: np.ndarray) -> np.ndarray:
         """Forward pass 2: sweep X again for the two-pass (biased) variance.
@@ -89,10 +98,14 @@ class BatchNorm2d(Module):
         Centering and squaring happen at the statistics dtype (fp32+), so
         fp16 inputs cannot overflow in the square.
         """
+        from repro.kernels.bn_stats import channel_sum
+
         self._check_input(x)
         stat = self._stat_dtype(x)
         centered = x.astype(stat, copy=False) - mean[None, :, None, None]
-        return (centered * centered).mean(axis=(0, 2, 3), dtype=stat)
+        np.multiply(centered, centered, out=centered)
+        m = x.shape[0] * x.shape[2] * x.shape[3]
+        return channel_sum(centered, stat) / m
 
     def normalize(
         self, x: np.ndarray, mean: np.ndarray, var: np.ndarray
@@ -106,8 +119,6 @@ class BatchNorm2d(Module):
         temporaries — which is bit-identical to the historical expression
         at every block size (pinned by the blocked property suite).
         """
-        # Imported lazily: the kernels package pulls in the fused kernels,
-        # which import this module back at their top level.
         from repro.kernels.blocked import blocked_normalize_apply
 
         stat = self._stat_dtype(x)
@@ -159,11 +170,17 @@ class BatchNorm2d(Module):
         tens of thousands of fp16 terms in an fp16 accumulator loses —
         or overflows — the reduction.
         """
+        from repro.kernels.bn_stats import channel_sum
+
         stat = self._stat_dtype(dy)
         x_hat = self._x_hat()
-        dgamma = (dy * x_hat).sum(axis=(0, 2, 3), dtype=stat)
-        dbeta = dy.sum(axis=(0, 2, 3), dtype=stat)
-        return dgamma, dbeta
+        # The dgamma product overwrites x_hat, which nothing reads after
+        # it; a gradient wider than x_hat gets its own.
+        if np.result_type(dy, x_hat) == x_hat.dtype:
+            prod = np.multiply(x_hat, dy, out=x_hat)
+        else:
+            prod = dy * x_hat
+        return channel_sum(prod, stat), channel_sum(dy, stat)
 
     def input_grad(
         self, dy: np.ndarray, dgamma: np.ndarray, dbeta: np.ndarray
@@ -172,20 +189,24 @@ class BatchNorm2d(Module):
 
         Standard training-mode BN gradient:
         ``dX = (gamma * inv_std / M) * (M*dY - dbeta - x_hat * dgamma)``
-        where M = N*H*W is the normalization population per channel.
+        where M = N*H*W is the normalization population per channel. It
+        runs on :func:`repro.kernels.blocked.blocked_bn_input_grad_transform`,
+        the restructured graph's sub-BN1' kernel, with the accumulator at
+        dY's statistics dtype: dY is lifted there before the m-scaling
+        (m * dY at fp16 overflows at |dY| >= 65504/m), x_hat is recomputed
+        slab by slab, and only dX is downcast back. When dY is wider than
+        X's statistics (fp64 dY on fp32 data), inv_std and x_hat are
+        recomputed at dY's width from the saved mean and var rather than
+        taken from the forward's ``_inv_std``.
         """
-        x_hat = self._x_hat()
-        m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-        # Lift dY to the statistics dtype before the m-scaling: m * dY at
-        # fp16 overflows at |dY| >= 65504/m. Only dX is downcast back.
-        dy_wide = dy.astype(self._stat_dtype(dy), copy=False)
-        g = (self.gamma.data * self._inv_std)[None, :, None, None]
-        dx = (g / m) * (
-            m * dy_wide
-            - dbeta[None, :, None, None]
-            - x_hat * dgamma[None, :, None, None]
+        from repro.kernels.blocked import blocked_bn_input_grad_transform
+
+        if self._x is None or self._mean is None or self._var is None:
+            raise ExecutionError(f"{self.name}: backward before forward")
+        return blocked_bn_input_grad_transform(
+            dy, self._x, self._mean, self._var, self.gamma.data, dgamma,
+            dbeta, self.eps, accumulate_dtype=self._stat_dtype(dy),
         )
-        return dx.astype(dy.dtype)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._x is None:
@@ -203,9 +224,9 @@ class BatchNorm2d(Module):
     def _x_hat(self) -> np.ndarray:
         if self._x is None or self._mean is None or self._inv_std is None:
             raise ExecutionError(f"{self.name}: backward before forward")
-        return (self._x - self._mean[None, :, None, None]) * self._inv_std[
-            None, :, None, None
-        ]
+        x_hat = self._x - self._mean[None, :, None, None]
+        return np.multiply(x_hat, self._inv_std[None, :, None, None],
+                           out=x_hat)
 
     def saved_stats(self) -> Tuple[np.ndarray, np.ndarray]:
         """(mean, var) captured by the last training forward."""

@@ -13,8 +13,8 @@ Two predictions are made, both from existing machinery:
 * **blocked vs naive** — the naive kernels' full-tensor temporaries are
   priced through :class:`~repro.hw.cache.CacheModel` exactly like the
   simulator prices any sweep (resident temporaries cost nothing, spilled
-  ones pay a write + a read), against the blocked kernels' tile scratch
-  which is resident by construction of :mod:`repro.kernels.tune`. The
+  ones pay a write + a read), against the blocked kernels' scratch,
+  which :mod:`repro.kernels.tune` sizes to stay resident. The
   ratio is a *perfect-streaming* bound: hardware prefetchers and partial
   cache reuse land the measured number below it, and the gap between the
   two columns is the point of the report.
@@ -40,7 +40,7 @@ from repro.hw.cache import CacheModel
 from repro.hw.spec import HardwareSpec
 from repro.kernels.tune import (
     choose_block_batch,
-    choose_block_channels,
+    choose_block_width,
     local_hardware_spec,
 )
 from repro.passes.scenarios import apply_scenario
@@ -109,29 +109,27 @@ def predicted_stats_traffic(
 ) -> PredictedTraffic:
     """Cache-model traffic of naive vs blocked one-pass statistics.
 
-    Naive ``onepass_stats`` materializes the upcast copy and its square —
-    each written once and reduced (read) once; blocked streams the input
-    through tile scratch sized by :func:`choose_block_channels` to stay
-    resident, so its only compulsory traffic is the input itself.
+    Naive ``onepass_stats`` makes one upcast copy of the input: written,
+    summed, squared in place (read and written) and summed again. Blocked
+    streams the input one batch row at a time through accumulator-width
+    row scratch (two running sums and the squared row), cut into runs
+    that :func:`choose_block_width` keeps resident, so its only compulsory
+    traffic is the input itself.
     """
     hw = hw or local_hardware_spec()
     cache = CacheModel(hw)
     nelems = int(np.prod(shape))
     s_bytes = nelems * np.dtype(storage_dtype).itemsize
     a_item = np.dtype(accumulate_dtype).itemsize
-    naive = s_bytes
-    # xa = x.astype(acc): write + read; xa*xa: write + read.
-    naive += _temporary_sweeps(nelems, a_item, cache, 2, "naive.xa")
-    naive += _temporary_sweeps(nelems, a_item, cache, 2, "naive.xa_sq")
+    naive = s_bytes + _temporary_sweeps(nelems, a_item, cache, 5, "naive.xa")
     n, c, h, w = shape
-    bc = choose_block_channels(shape, storage_dtype, accumulate_dtype,
-                               hw=hw)
+    bw = choose_block_width(shape, storage_dtype, accumulate_dtype, hw=hw)
     blocked = s_bytes
-    # Tile scratch spills only if even the chosen (floor-of-1) tile
-    # exceeds the budget — then every tile pays its write + re-read.
-    tiles = -(-c // bc)
-    blocked += _temporary_sweeps(n * bc * h * w, a_item, cache, 2,
-                                 "blocked.tile") * tiles
+    # The row scratch spills only if even the chosen (floor-of-1) run
+    # exceeds the budget; then every batch row writes and re-reads it.
+    runs = -(-(c * h * w) // bw)
+    blocked += _temporary_sweeps(3 * bw, a_item, cache, 2,
+                                 "blocked.rows") * runs * n
     return PredictedTraffic(naive_bytes=naive, blocked_bytes=blocked)
 
 

@@ -26,7 +26,7 @@ from repro.errors import ExecutionError
 from repro.graph.graph import LayerGraph
 from repro.graph.node import Node, OpKind
 from repro.kernels.bn_relu_conv_fused import bn_relu_conv_backward, bn_relu_conv_forward
-from repro.kernels.bn_stats import onepass_stats, twopass_stats
+from repro.kernels.bn_stats import channel_sum, onepass_stats, twopass_stats
 from repro.kernels.conv_bn_fused import bn_input_grad_transform
 from repro.kernels.relu_conv_fused import relu_conv_backward, relu_conv_forward
 from repro.nn.batchnorm import BatchNorm2d
@@ -433,8 +433,8 @@ class GraphExecutor:
         dy = grads[node.outputs[0]]
         inv_std = 1.0 / np.sqrt(ctx["var"] + bn.eps)
         x_hat = (ctx["x"] - ctx["mean"][None, :, None, None]) * inv_std[None, :, None, None]
-        dgamma = (dy * x_hat).sum(axis=(0, 2, 3)).astype(bn.gamma.data.dtype)
-        dbeta = dy.sum(axis=(0, 2, 3)).astype(bn.beta.data.dtype)
+        dgamma = channel_sum(dy * x_hat).astype(bn.gamma.data.dtype)
+        dbeta = channel_sum(dy).astype(bn.beta.data.dtype)
         bn.gamma.accumulate_grad(dgamma)
         bn.beta.accumulate_grad(dbeta)
         ctx["dgamma"], ctx["dbeta"] = dgamma, dbeta
@@ -488,8 +488,8 @@ class GraphExecutor:
                 bn, ctx = self._bn_of(norm)
                 inv_std = 1.0 / np.sqrt(ctx["var"] + bn.eps)
                 x_hat = (ctx["x"] - ctx["mean"][None, :, None, None]) * inv_std[None, :, None, None]
-                dgamma = (dy * x_hat).sum(axis=(0, 2, 3)).astype(bn.gamma.data.dtype)
-                dbeta = dy.sum(axis=(0, 2, 3)).astype(bn.beta.data.dtype)
+                dgamma = channel_sum(dy * x_hat).astype(bn.gamma.data.dtype)
+                dbeta = channel_sum(dy).astype(bn.beta.data.dtype)
                 bn.gamma.accumulate_grad(dgamma)
                 bn.beta.accumulate_grad(dbeta)
                 ctx["dgamma"], ctx["dbeta"] = dgamma, dbeta

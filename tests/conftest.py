@@ -72,3 +72,23 @@ def assert_same_bits(got: np.ndarray, expected: np.ndarray) -> None:
     assert got.dtype == expected.dtype and got.shape == expected.shape
     uint = f"u{got.dtype.itemsize}"
     assert np.array_equal(got.view(uint), expected.view(uint))
+
+
+def gamma(n, dtype):
+    """Higham's ``gamma_n = n*u / (1 - n*u)``, ``u = eps / 2`` of *dtype*.
+
+    A length-n dot product summed in any order, with every product and
+    partial sum rounded to unit roundoff u or finer, lands within
+    ``gamma_n * sum|a_i * b_i|`` of the exact value (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 3.1); a plain sum of n terms,
+    within ``gamma_{n-1} * sum|x_i|`` (4.2).
+    """
+    u = np.finfo(dtype).eps / 2
+    assert n * u < 1, f"gamma_{n} is unbounded in {np.dtype(dtype)}"
+    return n * u / (1 - n * u)
+
+
+def assert_within(got, ref, bound):
+    """``|got - ref| <= bound`` elementwise, evaluated in fp64."""
+    diff = np.abs(got.astype(np.float64) - ref.astype(np.float64))
+    assert np.all(diff <= bound), float(np.max(diff - bound))

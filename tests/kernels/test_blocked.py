@@ -1,9 +1,8 @@
-"""Unit tests: blocked kernels' edges, the tuner, and the thread knob."""
+"""Unit tests: blocked kernels' edges and the tuner."""
 
 import numpy as np
 import pytest
 
-from repro.config import KERNEL_THREADS_ENV, kernel_threads
 from repro.errors import ShapeError
 from repro.hw.spec import HardwareSpec
 from repro.kernels.blocked import (
@@ -16,7 +15,7 @@ from repro.kernels.bf16 import bf16_round
 from repro.kernels.bn_stats import onepass_stats
 from repro.kernels.tune import (
     choose_block_batch,
-    choose_block_channels,
+    choose_block_width,
     clear_tuning_cache,
     detect_local_llc_bytes,
     local_hardware_spec,
@@ -46,39 +45,30 @@ class TestTuner:
         assert detect_local_llc_bytes() > 0
         assert local_hardware_spec().llc_bytes == detect_local_llc_bytes()
 
-    def test_tiny_cache_floors_at_one_channel(self):
+    def test_tiny_cache_floors_at_one_element(self):
         clear_tuning_cache()
-        bc = choose_block_channels(SHAPE, np.float32, np.float64,
-                                   hw=_spec(1 << 10))
-        assert bc == 1
+        bw = choose_block_width(SHAPE, np.float32, np.float64,
+                                hw=_spec(16))
+        assert bw == 1
 
-    def test_huge_cache_takes_all_channels(self):
+    def test_huge_cache_takes_the_whole_row(self):
         clear_tuning_cache()
-        bc = choose_block_channels(SHAPE, np.float32, np.float64,
-                                   hw=_spec(1 << 32))
-        assert bc == SHAPE[1]
+        bw = choose_block_width(SHAPE, np.float32, np.float64,
+                                hw=_spec(1 << 32))
+        assert bw == SHAPE[1] * SHAPE[2] * SHAPE[3]
 
     def test_block_monotone_in_cache_size(self):
         clear_tuning_cache()
         shape = (32, 256, 28, 28)
+        width = shape[1] * shape[2] * shape[3]
         sizes = [1 << 20, 8 << 20, 64 << 20, 1 << 30]
         choices = [
-            choose_block_channels(shape, np.float32, np.float64,
-                                  hw=_spec(s))
+            choose_block_width(shape, np.float32, np.float64, hw=_spec(s))
             for s in sizes
         ]
         assert choices == sorted(choices)
-        assert all(1 <= c <= shape[1] for c in choices)
-
-    def test_threads_split_the_budget_and_the_axis(self):
-        clear_tuning_cache()
-        shape = (32, 64, 28, 28)
-        solo = choose_block_channels(shape, np.float32, np.float64,
-                                     hw=_spec(64 << 20), threads=1)
-        team = choose_block_channels(shape, np.float32, np.float64,
-                                     hw=_spec(64 << 20), threads=4)
-        assert team <= solo
-        assert team <= -(-shape[1] // 4) * 4  # still covers the axis
+        assert all(1 <= c <= width for c in choices)
+        assert choices[0] < width == choices[-1]
 
     def test_batch_chooser_floors_and_caps(self):
         clear_tuning_cache()
@@ -95,13 +85,25 @@ class TestBlockedEdges:
 
     def test_nonpositive_block_raises(self):
         with pytest.raises(ShapeError):
-            blocked_onepass_stats(_x(), block_channels=0)
+            blocked_onepass_stats(_x(), block_width=0)
 
-    def test_block_larger_than_axis_delegates(self):
+    @pytest.mark.parametrize("block", [1, 7, 10_000])
+    def test_any_run_length_keeps_the_bits(self, block):
         x = _x()
         m_ref, v_ref = onepass_stats(x)
-        m, v = blocked_onepass_stats(x, block_channels=10_000)
-        assert np.array_equal(m_ref, m) and np.array_equal(v_ref, v)
+        m, v = blocked_onepass_stats(x, block_width=block)
+        assert_same_bits(m, m_ref)
+        assert_same_bits(v, v_ref)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_element_rows_sum_like_the_naive_kernel(self, dtype):
+        """A batch of one-element rows is one contiguous run, which numpy
+        sums pairwise, not row by row: that case delegates."""
+        x = _x((64, 1, 1, 1), dtype=dtype)
+        m_ref, v_ref = onepass_stats(x)
+        m, v = blocked_onepass_stats(x)
+        assert_same_bits(m, m_ref)
+        assert_same_bits(v, v_ref)
 
     def test_out_reused_and_returned(self):
         x = _x()
@@ -159,17 +161,16 @@ class TestReturnXHat:
     storage dtype is the math dtype, through scratch when it is narrower).
     """
 
-    @pytest.mark.parametrize("block,threads", [(None, 1), (1, 1), (3, 2)])
+    @pytest.mark.parametrize("block", [None, 1, 3])
     @pytest.mark.parametrize("acc", [None, np.float32, np.float64])
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
-    def test_matches_naive_x_hat_and_output(self, dtype, acc, block, threads):
+    def test_matches_naive_x_hat_and_output(self, dtype, acc, block):
         x = _x(dtype=dtype)
         c = x.shape[1]
         mean, var = onepass_stats(x, accumulate_dtype=acc)
         gamma = np.linspace(0.5, 1.5, c).astype(np.float32)
         beta = np.linspace(-0.5, 0.5, c).astype(np.float32)
-        kw = dict(relu=True, accumulate_dtype=acc, block_batch=block,
-                  threads=threads)
+        kw = dict(relu=True, accumulate_dtype=acc, block_batch=block)
         plain = blocked_affine_normalize(x, mean, var, gamma, beta, 1e-5, **kw)
         y, x_hat = blocked_affine_normalize(x, mean, var, gamma, beta, 1e-5,
                                             return_x_hat=True, **kw)
@@ -178,30 +179,6 @@ class TestReturnXHat:
         assert_same_bits(x_hat, x_hat_ref)
         assert_same_bits(y, np.maximum(bn_out_ref, 0))
         assert_same_bits(plain, y)
-
-
-class TestThreadKnob:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_THREADS_ENV, raising=False)
-        assert kernel_threads() == 1
-
-    def test_env_parsed_and_clamped(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_THREADS_ENV, "4")
-        assert kernel_threads() == 4
-        monkeypatch.setenv(KERNEL_THREADS_ENV, "-2")
-        assert kernel_threads() == 1
-
-    def test_garbage_env_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_THREADS_ENV, "many")
-        with pytest.raises(ValueError):
-            kernel_threads()
-
-    def test_env_threads_bit_identical(self, monkeypatch):
-        x = _x((4, 12, 8, 8))
-        m_ref, v_ref = onepass_stats(x)
-        monkeypatch.setenv(KERNEL_THREADS_ENV, "3")
-        m, v = blocked_onepass_stats(x, block_channels=2)
-        assert np.array_equal(m_ref, m) and np.array_equal(v_ref, v)
 
 
 class TestBf16RoundOut:

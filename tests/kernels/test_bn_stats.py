@@ -121,8 +121,8 @@ class TestValidation:
 class TestSingleUpcastSweep:
     """Pin satellite behaviour: onepass reuses one upcast array for both
     reductions, and that is bit-identical to summing the narrow input
-    with a wide dtype= (numpy upcasts exactly; the pairwise reduction
-    order over the contiguous layout is unchanged)."""
+    with a wide dtype= in ``channel_sum``'s order (numpy upcasts exactly;
+    the batch rows are added in the same order either way)."""
 
     @pytest.mark.parametrize("storage", [np.float32, np.float16])
     @pytest.mark.parametrize("acc", [np.float32, np.float64])
@@ -134,9 +134,10 @@ class TestSingleUpcastSweep:
         x = rng(21).normal(0.0, 2.0, size=(4, 6, 9, 9)).astype(storage)
         m, v = onepass_stats(x, accumulate_dtype=acc)
         a = np.dtype(acc)
-        s1 = x.sum(axis=(0, 2, 3), dtype=a)
+        c = x.shape[1]
+        s1 = x.sum(axis=0, dtype=a).reshape(c, -1).sum(axis=1)
         xa = x.astype(a)
-        s2 = (xa * xa).sum(axis=(0, 2, 3), dtype=a)
+        s2 = (xa * xa).sum(axis=0).reshape(c, -1).sum(axis=1)
         n = x.shape[0] * x.shape[2] * x.shape[3]
         mean = s1 / n
         var = np.maximum(s2 / n - mean * mean, a.type(0.0))
@@ -144,3 +145,13 @@ class TestSingleUpcastSweep:
         out = stat_dtype(x.dtype)
         np.testing.assert_array_equal(m, mean.astype(out))
         np.testing.assert_array_equal(v, var.astype(out))
+
+    @pytest.mark.parametrize("storage,acc", [(np.float64, None),
+                                             (np.float32, np.float32)])
+    def test_squares_its_own_copy_never_the_callers_array(self, storage, acc):
+        """The copy is squared in place, so it must be a copy even when
+        the input is already at the accumulator width."""
+        x = rng(22).normal(0.0, 2.0, size=(3, 4, 5, 5)).astype(storage)
+        before = x.copy()
+        onepass_stats(x, accumulate_dtype=acc)
+        np.testing.assert_array_equal(x, before)

@@ -12,6 +12,7 @@ from repro.kernels import (
     bn_input_grad_transform,
     bn_relu_conv_backward,
     bn_relu_conv_forward,
+    channel_sum,
     conv_bn_stats_forward,
     max_abs_diff,
     onepass_stats,
@@ -23,7 +24,7 @@ from repro.nn import BatchNorm2d, Conv2d, ReLU
 from repro.passes import apply_scenario
 
 from tests import reference_kernels
-from tests.conftest import assert_same_bits
+from tests.conftest import assert_same_bits, assert_within, gamma
 
 
 def make_chain(seed=0, cin=3, mid=6, cout=4, k2=3):
@@ -137,13 +138,39 @@ def miniature_fused_sites():
     return sorted(sites)
 
 
+def channel_order_bound(terms, accumulate_dtype, out_dtype):
+    """Largest difference between two summation orders of the per-channel
+    sums of *terms*, rounded to *out_dtype*.
+
+    Both orders add the same n = N*H*W terms per channel at the unit
+    roundoff of ``channel_sum``'s accumulator (fp16 storage sums at fp32:
+    the accumulator, or fp32 weights lifting the gradient), so each lands
+    within ``gamma_{n-1} * sum|t_i|`` of the exact sum and the two within
+    twice that. Rounding both to a narrower output dtype moves each by at
+    most ``u_out * (1 + gamma_{n-1}) * sum|t_i|`` more.
+    """
+    acc = np.promote_types(accumulate_dtype or terms.dtype, terms.dtype)
+    n = terms.size // terms.shape[1]
+    size = np.abs(terms.astype(np.float64)).sum(axis=(0, 2, 3))
+    g = gamma(n - 1, acc)
+    bound = 2 * g * size
+    if np.dtype(out_dtype).itemsize < acc.itemsize:
+        bound += 2 * (np.finfo(out_dtype).eps / 2) * (1 + g) * size
+    return bound
+
+
 class TestBnReluConvBackwardAgainstReference:
-    """The fused backward on the blocked kernels keeps the bits of the
+    """The fused backward on the blocked kernels against the
     naive-``_affine_normalize`` version it replaced (kept in
-    ``tests/reference_kernels.py``): ``d_bn_out``, dgamma, dbeta and dW."""
+    ``tests/reference_kernels.py``): ``d_bn_out`` and dW keep their bits.
+    dgamma and dbeta sum the same terms batch rows first where the
+    reference sums ``axis=(0, 2, 3)``, so they stay within
+    :func:`channel_order_bound` of it. Handed the library's
+    ``channel_sum`` as *sum_channels*, the reference sums in the same order
+    and all four results keep their bits."""
 
     def _compare(self, n, c, oc, k, s, p, h, w, dtype, acc, relu, seed,
-                 weight_dtype=np.float32):
+                 weight_dtype=np.float32, sum_channels=None):
         r = rng(seed)
         bn_x = (2.0 * r.normal(size=(n, c, h, w)) + 0.5).astype(dtype)
         mean, var = onepass_stats(bn_x, accumulate_dtype=acc)
@@ -156,12 +183,28 @@ class TestBnReluConvBackwardAgainstReference:
         dy = r.normal(size=(n, oc) + got_conv.output_hw((h, w))).astype(dtype)
         got = bn_relu_conv_backward(dy, got_conv, bn_x, mean, var, gamma, beta,
                                     apply_relu=relu, accumulate_dtype=acc)
+        if sum_channels is not None:
+            ref = reference_kernels.bn_relu_conv_backward(
+                dy, ref_conv, bn_x, mean, var, gamma, beta, apply_relu=relu,
+                accumulate_dtype=acc, sum_channels=sum_channels)
+            for a, b in zip(got, ref):
+                assert_same_bits(a, b)
+            assert_same_bits(got_conv.weight.grad, ref_conv.weight.grad)
+            return
+        summed = []
+
+        def recorded_sum(terms, accumulate_dtype):
+            summed.append((terms.copy(), accumulate_dtype))
+            return reference_kernels.channel_sum(terms, accumulate_dtype)
+
         ref = reference_kernels.bn_relu_conv_backward(
             dy, ref_conv, bn_x, mean, var, gamma, beta,
-            apply_relu=relu, accumulate_dtype=acc)
-        for a, b in zip(got, ref):
-            assert_same_bits(a, b)
+            apply_relu=relu, accumulate_dtype=acc, sum_channels=recorded_sum)
+        assert_same_bits(got[0], ref[0])
         assert_same_bits(got_conv.weight.grad, ref_conv.weight.grad)
+        for a, b, (terms, sum_acc) in zip(got[1:], ref[1:], summed):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert_within(a, b, channel_order_bound(terms, sum_acc, b.dtype))
 
     @pytest.mark.parametrize("n,c,oc,h,w", [(4, 6, 5, 8, 8), (3, 12, 7, 5, 6),
                                             (1, 5, 3, 4, 4)])
@@ -178,7 +221,7 @@ class TestBnReluConvBackwardAgainstReference:
         """fp64 weights on fp32 data give an fp64 d_bn_out, so the dgamma
         product runs at fp64 as the reference's does, not inside x_hat."""
         self._compare(4, 6, 5, k, 1, k // 2, 8, 8, np.float32, None, True,
-                      seed=k, weight_dtype=np.float64)
+                      seed=k, weight_dtype=np.float64, sum_channels=channel_sum)
 
     @pytest.mark.parametrize("c,oc,k,s,p,h,w,relu", miniature_fused_sites())
     def test_miniature_sites(self, c, oc, k, s, p, h, w, relu):

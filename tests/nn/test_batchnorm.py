@@ -5,9 +5,17 @@ import pytest
 
 from repro.config import rng
 from repro.errors import ExecutionError, ShapeError
+from repro.kernels.bn_stats import channel_sum
 from repro.nn import BatchNorm2d
 
-from tests.conftest import numerical_gradient, sample_indices
+from tests import reference_kernels
+from tests.conftest import (
+    assert_same_bits,
+    assert_within,
+    gamma,
+    numerical_gradient,
+    sample_indices,
+)
 
 
 class TestForward:
@@ -131,3 +139,83 @@ class TestBackward:
         bn(x)
         mean, var = bn.saved_stats()
         np.testing.assert_allclose(mean, x.mean(axis=(0, 2, 3)), rtol=1e-5)
+
+
+class TestBackwardBits:
+    """``backward`` forms x_hat once, writes the dgamma product into it, and
+    runs sub-BN1' on the blocked transform the restructured graph uses,
+    with the accumulator at dY's statistics dtype. When dY has x's storage
+    dtype both halves keep the bits of the expressions they replaced:
+    dgamma/dbeta as ``channel_sum`` of ``dy * x_hat`` and ``dy``, dX as the
+    unblocked chain (``tests/reference_kernels.py::batchnorm_input_grad``).
+    A dY wider than x's statistics moves dX off those bits (see
+    :meth:`test_gradient_wider_than_x_hat`)."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("native_gamma", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_matches_unblocked_chain(self, dtype, native_gamma, seed):
+        r = np.random.default_rng(seed)
+        n, c, h, w = (int(v) for v in r.integers(1, 7, size=4))
+        n += 1  # at least two batch rows
+        bn = BatchNorm2d(c)
+        gamma = r.normal(1.0, 0.5, c)
+        bn.gamma.data = gamma.astype(dtype if native_gamma else np.float32)
+        bn.beta.data = r.normal(0.0, 0.5, c).astype(bn.gamma.data.dtype)
+        x = (r.normal(0.5, 2.0, (n, c, h, w))).astype(dtype)
+        dy = r.normal(0.0, 1.0, x.shape).astype(dtype)
+        bn(x)
+        x_hat = (bn._x - bn._mean[None, :, None, None]) \
+            * bn._inv_std[None, :, None, None]
+        stat = bn._stat_dtype(dy)
+        dgamma, dbeta = bn.param_grads(dy)
+        assert_same_bits(dgamma, channel_sum(dy * x_hat, stat))
+        assert_same_bits(dbeta, channel_sum(dy, stat))
+        dx = bn.input_grad(dy, dgamma, dbeta)
+        assert_same_bits(
+            dx, reference_kernels.batchnorm_input_grad(bn, dy, dgamma, dbeta))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_gradient_wider_than_x_hat(self, dtype):
+        """An fp64 dY on fp16 or fp32 data takes its dgamma product at fp64,
+        not rounded into the fp32 x_hat, and runs sub-BN1' at fp64.
+
+        The transform recomputes inv_std, x_hat and g/m = gamma*inv_std/m
+        at fp64 from the saved fp32 mean and var, where the unblocked chain
+        used the fp32 ``_inv_std`` the forward cached. That chain's inv_std
+        carries three fp32 roundings (eps and ``var + eps``, sqrt,
+        reciprocal), so its x_hat and g/m carry five each, and its
+        ``x_hat * dgamma`` term ten; its fp64 steps add four more at fp64.
+        The fp64 transform carries at most thirteen fp64 roundings on any
+        term. With S = m|dY| + |dbeta| + |x_hat * dgamma|, the two dX differ
+        by at most ``(gamma_10(fp32) + gamma_20(fp64)) * |g/m| * S``, and dX
+        lies within ``gamma_30(fp64) * |g/m| * S`` of the same chain
+        evaluated at fp64 here, which an fp32 step would break.
+        """
+        r = np.random.default_rng(3)
+        bn = BatchNorm2d(4)
+        bn.gamma.data = r.normal(1.0, 0.5, 4).astype(np.float32)
+        x = r.normal(0.5, 2.0, (3, 4, 5, 5)).astype(dtype)
+        dy = r.normal(0.0, 1.0, x.shape)
+        bn(x)
+        x_hat = (bn._x - bn._mean[None, :, None, None]) \
+            * bn._inv_std[None, :, None, None]
+        dgamma, dbeta = bn.param_grads(dy)
+        assert_same_bits(dgamma, channel_sum(dy * x_hat, np.float64))
+        assert_same_bits(dbeta, channel_sum(dy, np.float64))
+
+        dx = bn.input_grad(dy, dgamma, dbeta)
+        ref = reference_kernels.batchnorm_input_grad(bn, dy, dgamma, dbeta)
+        assert dx.dtype == ref.dtype == np.float64
+        m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+        inv_std = 1.0 / np.sqrt(bn._var.astype(np.float64) + bn.eps)
+        exact_x_hat = (bn._x.astype(np.float64) - bn._mean[None, :, None, None]) \
+            * inv_std[None, :, None, None]
+        g_over_m = (bn.gamma.data * inv_std / m)[None, :, None, None]
+        terms = (m * dy, dbeta[None, :, None, None],
+                 exact_x_hat * dgamma[None, :, None, None])
+        scale = np.abs(g_over_m) * sum(np.abs(t) for t in terms)
+        assert_within(dx, ref,
+                      (gamma(10, np.float32) + gamma(20, np.float64)) * scale)
+        wide = g_over_m * (terms[0] - terms[1] - terms[2])
+        assert_within(dx, wide, gamma(30, np.float64) * scale)

@@ -15,7 +15,13 @@ from repro.nn import Conv2d
 from repro.nn.im2col import accumulate_windows
 from repro.tensors.shapes import conv2d_output_hw
 
-from tests.conftest import assert_same_bits, numerical_gradient, sample_indices
+from tests.conftest import (
+    assert_same_bits,
+    assert_within,
+    gamma,
+    numerical_gradient,
+    sample_indices,
+)
 from tests.reference_kernels import lowered_convs, x_lowering_backward
 
 
@@ -152,19 +158,6 @@ class TestBackward:
         np.testing.assert_array_equal(a.weight.grad, b.weight.grad)
 
 
-def gamma(n, dtype):
-    """Higham's ``gamma_n = n*u / (1 - n*u)``, ``u = eps / 2`` of *dtype*.
-
-    A length-n dot product summed in any order, with every product and
-    partial sum rounded to unit roundoff u or finer, lands within
-    ``gamma_n * sum|a_i * b_i|`` of the exact value (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 3.1).
-    """
-    u = np.finfo(dtype).eps / 2
-    assert n * u < 1, f"gamma_{n} is unbounded in {np.dtype(dtype)}"
-    return n * u / (1 - n * u)
-
-
 def gemm_gamma(n, dtype):
     """``gamma_n`` for one numpy GEMM of inner length n in *dtype*.
 
@@ -177,12 +170,6 @@ def gemm_gamma(n, dtype):
         u = np.finfo(np.float16).eps / 2
         return u + gamma(n, np.float32) * (1 + u)
     return gamma(n, dtype)
-
-
-def assert_within(got, ref, bound):
-    """``|got - ref| <= bound`` elementwise, evaluated in fp64."""
-    diff = np.abs(got.astype(np.float64) - ref.astype(np.float64))
-    assert np.all(diff <= bound), float(np.max(diff - bound))
 
 
 def im2col_ckk(x, kernel, stride, padding):

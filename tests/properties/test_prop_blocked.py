@@ -2,12 +2,12 @@
 
 The blocked kernels' entire value proposition is "same bits, less memory
 traffic" — so the property under test is *bit* equality (``array_equal``,
-not ``allclose``) against the naive kernels, across arbitrary shapes,
-block sizes (1, mid, larger than the axis) and thread counts (including
-more threads than tiles). fp16 storage goes through the same bitwise
-check — the blocked reduction replicates numpy's association exactly at
-any width — and additionally gets an accuracy bound against an fp64
-reference, pinning that tiling never *adds* drift.
+not ``allclose``) against the naive kernels, across arbitrary shapes and
+block sizes (1, mid, larger than the axis). fp16 storage goes through the
+same bitwise check — the row stream adds the batch rows in the order
+``channel_sum`` does at any width — and additionally gets an accuracy
+bound against an fp64 reference, pinning that streaming never *adds*
+drift.
 """
 
 import numpy as np
@@ -15,17 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kernels.blocked import (
     blocked_bn_input_grad_transform,
-    blocked_chunked_onepass_stats,
     blocked_normalize_apply,
     blocked_onepass_stats,
-    blocked_twopass_stats,
 )
 from repro.kernels.bf16 import bf16_round
-from repro.kernels.bn_stats import (
-    chunked_onepass_stats,
-    onepass_stats,
-    twopass_stats,
-)
+from repro.kernels.bn_stats import onepass_stats, twopass_stats
 
 STORAGE_DTYPES = (np.float32, np.float64, np.float16)
 
@@ -48,8 +42,9 @@ def nchw_arrays(max_n=5, max_c=7, max_hw=6):
     )
 
 
-blocks = st.integers(1, 10)  # deliberately exceeds max_c: block > C legal
-thread_counts = st.sampled_from([1, 2, 5])  # 5 > max_c: threads > tiles
+blocks = st.integers(1, 10)  # deliberately exceeds max_n: block > N legal
+#: Row-run lengths: 1, mid-row, and past the longest row (7*6*6 elements).
+widths = st.integers(1, 300)
 storage = st.sampled_from(STORAGE_DTYPES)
 accumulators = st.sampled_from([None, np.float64, np.float32])
 
@@ -60,55 +55,31 @@ def _cast(x, dtype):
 
 class TestBlockedStatsBitIdentity:
     @settings(max_examples=40, deadline=None)
-    @given(x=nchw_arrays(), bc=blocks, threads=thread_counts,
-           sdt=storage, acc=accumulators)
-    def test_onepass(self, x, bc, threads, sdt, acc):
+    @given(x=nchw_arrays(), bw=widths, sdt=storage, acc=accumulators)
+    def test_onepass(self, x, bw, sdt, acc):
         x = _cast(x, sdt)
         if acc is not None and np.dtype(acc).itemsize < x.dtype.itemsize:
             acc = None  # accumulator narrower than storage is rejected
         m_ref, v_ref = onepass_stats(x, accumulate_dtype=acc)
-        m, v = blocked_onepass_stats(x, accumulate_dtype=acc,
-                                     block_channels=bc, threads=threads)
+        m, v = blocked_onepass_stats(x, accumulate_dtype=acc, block_width=bw)
         assert np.array_equal(m_ref, m) and m_ref.dtype == m.dtype
         assert np.array_equal(v_ref, v) and v_ref.dtype == v.dtype
 
-    @settings(max_examples=30, deadline=None)
-    @given(x=nchw_arrays(), bc=blocks, threads=thread_counts, sdt=storage)
-    def test_twopass(self, x, bc, threads, sdt):
-        x = _cast(x, sdt)
-        m_ref, v_ref = twopass_stats(x)
-        m, v = blocked_twopass_stats(x, block_channels=bc, threads=threads)
-        assert np.array_equal(m_ref, m)
-        assert np.array_equal(v_ref, v)
-
-    @settings(max_examples=30, deadline=None)
-    @given(x=nchw_arrays(), bc=blocks, threads=thread_counts,
-           chunk=st.integers(1, 7), sdt=storage)
-    def test_chunked(self, x, bc, threads, chunk, sdt):
-        x = _cast(x, sdt)
-        m_ref, v_ref = chunked_onepass_stats(x, chunk=chunk)
-        m, v = blocked_chunked_onepass_stats(
-            x, chunk=chunk, block_channels=bc, threads=threads
-        )
-        assert np.array_equal(m_ref, m)
-        assert np.array_equal(v_ref, v)
-
     @settings(max_examples=15, deadline=None)
-    @given(x=nchw_arrays(), bc=blocks)
-    def test_negative_zero_channels(self, x, bc):
-        """All-(-0.0) channels must keep their sign through the tiling."""
+    @given(x=nchw_arrays(), bw=widths)
+    def test_negative_zero_channels(self, x, bw):
+        """All-(-0.0) channels must keep their sign through the stream."""
         x[:, 0] = -0.0
         m_ref, _ = onepass_stats(x)
-        m, _ = blocked_onepass_stats(x, block_channels=bc)
+        m, _ = blocked_onepass_stats(x, block_width=bw)
         assert np.array_equal(np.signbit(m_ref), np.signbit(m))
         assert np.array_equal(m_ref, m)
 
 
 class TestBlockedElementwiseBitIdentity:
     @settings(max_examples=40, deadline=None)
-    @given(x=nchw_arrays(), bb=blocks, threads=thread_counts,
-           sdt=storage, relu=st.booleans())
-    def test_normalize_apply(self, x, bb, threads, sdt, relu):
+    @given(x=nchw_arrays(), bb=blocks, sdt=storage, relu=st.booleans())
+    def test_normalize_apply(self, x, bb, sdt, relu):
         x = _cast(x, sdt)
         c = x.shape[1]
         mean, var = twopass_stats(x)
@@ -123,15 +94,13 @@ class TestBlockedElementwiseBitIdentity:
         if relu:
             y_ref = np.maximum(y_ref, 0)
         y = blocked_normalize_apply(x, mean, inv_std, gamma, beta,
-                                    relu=relu, block_batch=bb,
-                                    threads=threads)
+                                    relu=relu, block_batch=bb)
         assert y.dtype == x.dtype
         assert np.array_equal(y_ref, y)
 
     @settings(max_examples=40, deadline=None)
-    @given(x=nchw_arrays(), bb=blocks, threads=thread_counts,
-           sdt=storage, acc=accumulators)
-    def test_input_grad_transform(self, x, bb, threads, sdt, acc):
+    @given(x=nchw_arrays(), bb=blocks, sdt=storage, acc=accumulators)
+    def test_input_grad_transform(self, x, bb, sdt, acc):
         x = _cast(x, sdt)
         if acc is not None and np.dtype(acc).itemsize < x.dtype.itemsize:
             acc = None
@@ -160,27 +129,27 @@ class TestBlockedElementwiseBitIdentity:
             .astype(d.dtype)
         got = blocked_bn_input_grad_transform(
             d, x, mean, var, gamma, dgamma, dbeta, 1e-5,
-            accumulate_dtype=acc, block_batch=bb, threads=threads,
+            accumulate_dtype=acc, block_batch=bb,
         )
         assert got.dtype == d.dtype
         assert np.array_equal(ref, got)
 
 
 class TestBlockedNarrowStorageAccuracy:
-    """Tiling must not add drift: blocked narrow-storage stats stay as
+    """Streaming must not add drift: blocked narrow-storage stats stay as
     close to the fp64 truth as the naive kernels do (they are bitwise
     equal to them, so the bound is inherited — asserted directly here so
     a future divergence fails loudly with an accuracy number)."""
 
     @settings(max_examples=20, deadline=None)
-    @given(x=nchw_arrays(), bc=blocks, emu_bf16=st.booleans())
-    def test_narrow_stats_track_fp64_reference(self, x, bc, emu_bf16):
+    @given(x=nchw_arrays(), bw=widths, emu_bf16=st.booleans())
+    def test_narrow_stats_track_fp64_reference(self, x, bw, emu_bf16):
         stored = bf16_round(x) if emu_bf16 else x.astype(np.float16)
         m64, v64 = twopass_stats(stored.astype(np.float64),
                                  accumulate_dtype=np.float64)
         m, v = blocked_onepass_stats(stored,
                                      accumulate_dtype=np.float32,
-                                     block_channels=bc)
+                                     block_width=bw)
         np.testing.assert_allclose(m, m64, rtol=1e-3, atol=1e-3)
         np.testing.assert_allclose(v, v64, rtol=5e-3,
                                    atol=max(1e-3, 1e-3 * float(v64.max())))

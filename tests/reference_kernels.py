@@ -4,22 +4,29 @@ The library replaced each of these with a faster path that is meant to
 give the same bits. The tests keep the old forms here, unchanged in their
 arithmetic, and compare the new paths against them:
 
+* :func:`channel_sum` — the per-channel sum as ``x.sum(axis=(0, 2, 3))``,
+  N*C pairwise sums of H*W elements added over the batch, instead of the
+  batch rows first;
 * :func:`bn_relu_conv_backward` — the fused (sub-BN2)-ReLU-CONV2 backward
   on the naive ``_affine_normalize``, with its full-size ``x_hat``,
   ``bn_out``, rectified input, ReLU mask and ``d_bn_out * x_hat``
-  temporaries;
+  temporaries, summing dgamma/dbeta through :func:`channel_sum` unless it
+  is handed another sum;
 * :func:`maxpool_forward` — max pooling as ``max``/``argmax`` along a
   K*K-long window axis;
 * :func:`normalize_apply` and :func:`bn_input_grad_transform` — the naive
   sub-BN2 affine and sub-BN1' transform expressions the blocked kernels
-  reproduce;
+  reproduce, and :func:`batchnorm_input_grad`, ``BatchNorm2d``'s own
+  sub-BN1' before it ran on the blocked transform;
 * :func:`lowered_convs` — 1x1 convolutions through ``im2col``/``col2im``
   instead of the direct channel GEMM;
 * :func:`x_lowering_backward` and :func:`conv_backward` — the backward of a
   stride-1 K > 1 convolution through the lowering of its input X
   (``dW = dY2d.T @ im2col(X)``, ``dX = col2im(dY2d @ W2d)``) instead of
-  the lowering of dY. Unlike the others it does not give the same bits,
-  only the same sums in another order.
+  the lowering of dY.
+
+Two of them, :func:`channel_sum` and the lowering of X, do not give the
+same bits, only the same sums in another order.
 """
 
 from __future__ import annotations
@@ -28,9 +35,15 @@ import contextlib
 
 import numpy as np
 
-from repro.kernels.bn_stats import resolve_accumulate_dtype
+from repro.kernels.bn_stats import resolve_accumulate_dtype, stat_dtype
 from repro.nn import Conv2d
 from repro.nn.im2col import col2im, im2col
+
+
+def channel_sum(x, accumulate_dtype=None):
+    """:func:`repro.kernels.bn_stats.channel_sum` in the old order."""
+    acc = resolve_accumulate_dtype(accumulate_dtype, storage=x.dtype)
+    return x.sum(axis=(0, 2, 3), dtype=acc)
 
 
 def affine_normalize(x, mean, var, gamma, beta, eps, accumulate_dtype=None):
@@ -48,8 +61,13 @@ def affine_normalize(x, mean, var, gamma, beta, eps, accumulate_dtype=None):
 
 
 def bn_relu_conv_backward(dy, conv, bn_x, mean, var, gamma, beta,
-                          eps=1e-5, apply_relu=True, accumulate_dtype=None):
-    """The fused backward as it was before it ran on the blocked kernels."""
+                          eps=1e-5, apply_relu=True, accumulate_dtype=None,
+                          sum_channels=channel_sum):
+    """The fused backward as it was before it ran on the blocked kernels.
+
+    ``sum_channels(terms, accumulate_dtype)`` makes the dgamma and dbeta
+    reductions, in that order.
+    """
     acc = resolve_accumulate_dtype(accumulate_dtype, storage=dy.dtype)
     x_hat, bn_out = affine_normalize(bn_x, mean, var, gamma, beta, eps,
                                      accumulate_dtype=acc)
@@ -65,9 +83,8 @@ def bn_relu_conv_backward(dy, conv, bn_x, mean, var, gamma, beta,
     d_conv_in = conv.backward_data(dy_acc)
 
     d_bn_out = d_conv_in * (bn_out > 0) if apply_relu else d_conv_in
-    dgamma = (d_bn_out * x_hat).sum(axis=(0, 2, 3), dtype=acc) \
-        .astype(gamma.dtype)
-    dbeta = d_bn_out.sum(axis=(0, 2, 3), dtype=acc).astype(beta.dtype)
+    dgamma = sum_channels(d_bn_out * x_hat, acc).astype(gamma.dtype)
+    dbeta = sum_channels(d_bn_out, acc).astype(beta.dtype)
     if acc is not None:
         d_bn_out = d_bn_out.astype(dy.dtype, copy=False)
     return d_bn_out, dgamma, dbeta
@@ -82,7 +99,7 @@ def maxpool_forward(pool, x):
 
 
 def normalize_apply(x, mean, inv_std, gamma, beta, relu=False, out=None,
-                    return_x_hat=False, block_batch=None, threads=None):
+                    return_x_hat=False, block_batch=None):
     """The historical ``BatchNorm2d.normalize`` expression, plus ReLU."""
     assert out is None and not return_x_hat
     x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
@@ -106,6 +123,19 @@ def bn_input_grad_transform(d_bn_out, bn_x, mean, var, gamma, dgamma, dbeta,
     return ((g / m) * (m * d - dbeta[None, :, None, None]
                        - x_hat * dgamma[None, :, None, None])) \
         .astype(d_bn_out.dtype)
+
+
+def batchnorm_input_grad(bn, dy, dgamma, dbeta):
+    """``BatchNorm2d.input_grad`` as the unblocked chain on its saved
+    ``x``, ``mean`` and ``inv_std``."""
+    x_hat = (bn._x - bn._mean[None, :, None, None]) \
+        * bn._inv_std[None, :, None, None]
+    m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+    dy_wide = dy.astype(stat_dtype(dy.dtype), copy=False)
+    g = (bn.gamma.data * bn._inv_std)[None, :, None, None]
+    dx = (g / m) * (m * dy_wide - dbeta[None, :, None, None]
+                    - x_hat * dgamma[None, :, None, None])
+    return dx.astype(dy.dtype)
 
 
 @contextlib.contextmanager

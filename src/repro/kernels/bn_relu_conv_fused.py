@@ -59,7 +59,9 @@ def bn_relu_conv_forward(
     (no activation between them). With ``accumulate_dtype`` set, the BN
     affine runs at the accumulator width and the convolution GEMM
     accumulates there too (its input tiles are upcast, its output downcast
-    to ``x``'s storage dtype — tensor-core semantics).
+    to ``x``'s storage dtype — tensor-core semantics). The convolution
+    keeps nothing for its backward: :func:`bn_relu_conv_backward`
+    recomputes its input from ``x``.
     """
     acc = resolve_accumulate_dtype(accumulate_dtype, storage=x.dtype)
     # Forward never needs x_hat, so the affine+ReLU streams through the
@@ -69,8 +71,11 @@ def bn_relu_conv_forward(
                                        relu=apply_relu,
                                        accumulate_dtype=acc)
     if acc is not None and acc.itemsize > conv_in.dtype.itemsize:
-        return conv.forward(conv_in.astype(acc)).astype(x.dtype)
-    return conv.forward(conv_in)
+        y = conv.forward(conv_in.astype(acc)).astype(x.dtype)
+    else:
+        y = conv.forward(conv_in)
+    conv.release()
+    return y
 
 
 def bn_relu_conv_backward(

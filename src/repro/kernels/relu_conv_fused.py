@@ -11,7 +11,8 @@ feature map:
   its input, i.e. at the ReLU *output*; the ReLU mask (``x > 0``) is applied
   in the same write sweep, so the ReLU layer's three backward sweeps vanish.
   The mask is recomputed from ``x``, which the convolution's
-  backward-weights pass sweeps anyway.
+  backward-weights pass sweeps anyway, and so is the rectified input that
+  pass contracts dY against: the forward's convolution keeps nothing.
 """
 
 from __future__ import annotations
@@ -28,17 +29,21 @@ def relu_conv_forward(x: np.ndarray, conv: Conv2d,
                       accumulate_dtype=None) -> np.ndarray:
     """Forward RCF: rectify inline, convolve, never materialize relu(x).
 
-    ``conv`` caches what its own backward needs (the rectified im2col
-    buffer), exactly as the fused primitive would keep its input tile
-    on-chip. With ``accumulate_dtype`` set (fp32+), sub-fp32 inputs are
-    upcast into the convolution GEMM — the partial sums accumulate wide —
-    and the output is downcast to ``x``'s storage dtype.
+    The rectified input lives only for the convolution GEMM, as the fused
+    primitive's input tile would live on-chip: ``conv`` keeps nothing, and
+    :func:`relu_conv_backward` recomputes the input from ``x``. With
+    ``accumulate_dtype`` set (fp32+), sub-fp32 inputs are upcast into the
+    convolution GEMM — the partial sums accumulate wide — and the output
+    is downcast to ``x``'s storage dtype.
     """
     conv_in = np.maximum(x, 0)
     acc = resolve_accumulate_dtype(accumulate_dtype, storage=x.dtype)
     if acc is not None and acc.itemsize > conv_in.dtype.itemsize:
-        return conv.forward(conv_in.astype(acc)).astype(x.dtype)
-    return conv.forward(conv_in)
+        y = conv.forward(conv_in.astype(acc)).astype(x.dtype)
+    else:
+        y = conv.forward(conv_in)
+    conv.release()
+    return y
 
 
 def relu_conv_backward(
@@ -47,18 +52,17 @@ def relu_conv_backward(
     """Backward RCF: conv backward + inline mask application.
 
     Returns ``dX`` at the ReLU *input*. ``conv``'s weight gradient is
-    accumulated as a side effect (its backward-weights half). The mask comes
-    from ``x`` directly — no saved ReLU output needed. With
+    accumulated as a side effect (its backward-weights half), from its
+    input ``max(x, 0)`` recomputed here, upcast like the forward's. The
+    mask comes from ``x`` directly — no saved ReLU output needed. With
     ``accumulate_dtype`` set, the gradient GEMMs run at the accumulator
     width and ``dX`` is downcast back to ``dy``'s storage dtype.
     """
     acc = resolve_accumulate_dtype(accumulate_dtype, storage=dy.dtype)
-    if acc is not None and acc.itemsize > dy.dtype.itemsize:
-        dy_acc = dy.astype(acc)
-        conv.backward_weights(dy_acc)
-        d_relu_out = conv.backward_data(dy_acc)
-        return (d_relu_out * (x > 0)).astype(dy.dtype), None
-    conv.backward_weights(dy)
-    d_relu_out = conv.backward_data(dy)
-    dx = d_relu_out * (x > 0)
-    return dx, None
+    wide = acc is not None and acc.itemsize > dy.dtype.itemsize
+    conv_in = np.maximum(x, 0)
+    conv.prepare_backward(conv_in.astype(acc) if wide else conv_in)
+    dy_acc = dy.astype(acc) if wide else dy
+    conv.backward_weights(dy_acc)
+    dx = conv.backward_data(dy_acc) * (x > 0)
+    return (dx.astype(dy.dtype) if wide else dx), None

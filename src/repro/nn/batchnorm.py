@@ -155,6 +155,10 @@ class BatchNorm2d(Module):
         y = x * scale[None, :, None, None] + shift[None, :, None, None]
         return y.astype(x.dtype, copy=False)
 
+    def release(self) -> None:
+        """Drop the saved input; the per-channel statistics stay."""
+        self._x = None
+
     def _update_running(self, mean: np.ndarray, var: np.ndarray, x: np.ndarray) -> None:
         n = x.shape[0] * x.shape[2] * x.shape[3]
         unbiased = var * (n / max(n - 1, 1))

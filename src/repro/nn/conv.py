@@ -153,6 +153,11 @@ class Conv2d(Module):
         self._y_shape = (x.shape[0], self.out_channels) + out_hw
         self._lowered_dy = None
 
+    def release(self) -> None:
+        """Drop the saved input (or its columns) and any kept lowered dY."""
+        self._saved = None
+        self._lowered_dy = None
+
     # -- backward ------------------------------------------------------------
     def backward(self, dy: np.ndarray) -> np.ndarray:
         """Full backward: accumulates dW (and db) and returns dX."""

@@ -92,6 +92,10 @@ class DepthwiseConv2d(Module):
         self._x_shape = x.shape
         self._windows = self._window_view(x)
 
+    def release(self) -> None:
+        """Drop the window view, and with it the (padded) input it reads."""
+        self._windows = None
+
     # -- backward -------------------------------------------------------------------
     def _check_dy(self, dy: np.ndarray) -> None:
         if self._windows is None:

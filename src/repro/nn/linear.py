@@ -66,3 +66,6 @@ class Linear(Module):
             self.bias.accumulate_grad(dy.sum(axis=0).astype(self.bias.data.dtype))
         dx = dy @ self.weight.data
         return dx.reshape(self._orig_shape)
+
+    def release(self) -> None:
+        self._x = None

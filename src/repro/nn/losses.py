@@ -46,3 +46,7 @@ class SoftmaxCrossEntropy(Module):
         grad = self._probs.copy()
         grad[np.arange(n), self._labels] -= 1.0
         return (grad / n).astype(self._probs.dtype)
+
+    def release(self) -> None:
+        self._probs = None
+        self._labels = None

@@ -116,6 +116,15 @@ class Module:
     def __call__(self, *inputs):
         return self.forward(*inputs)
 
+    def release(self) -> None:
+        """Drop what the forward saved for :meth:`backward`.
+
+        A training step calls it once the layer's backward has run, so no
+        feature map outlives the step; a layer keeps its saved tensors
+        through its own backward (which may run more than once). Layers
+        that save nothing inherit this no-op.
+        """
+
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Flat name -> array snapshot of all parameters (copies)."""
         return {name: p.data.copy() for name, p in self.named_parameters()}

@@ -121,6 +121,8 @@ class MaxPool2d(_Pool2d):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         self._check_dy(dy)
+        if self._argmax is None:
+            raise ExecutionError(f"{self.name}: backward before forward")
         n, c, oh, ow = dy.shape
         dxp = np.zeros(self._padded_shape, dtype=dy.dtype)
 
@@ -141,6 +143,9 @@ class MaxPool2d(_Pool2d):
             dy,
         )
         return self._unpad(dxp)
+
+    def release(self) -> None:
+        self._argmax = None
 
 
 class AvgPool2d(_Pool2d):

@@ -35,3 +35,6 @@ class ReLU(Module):
         if dy.shape != self._y.shape:
             raise ShapeError(f"{self.name}: dY shape {dy.shape} != Y shape {self._y.shape}")
         return dy * (self._y > 0)
+
+    def release(self) -> None:
+        self._y = None

@@ -106,6 +106,14 @@ def _backward_read_features(graph: LayerGraph, aliases: Dict[str, str]) -> Set[s
     return out
 
 
+def retained_tensors(graph: LayerGraph) -> Set[str]:
+    """Names of the feature tensors retained between forward and backward,
+    canonicalized through split aliases (a Split branch counts as its hub)."""
+    aliases = _alias_map(graph)
+    return (_forward_written_features(graph, aliases)
+            & _backward_read_features(graph, aliases))
+
+
 def training_footprint(graph: LayerGraph,
                        master_dtype: Optional[np.dtype] = None) -> FootprintReport:
     """Retained and materialized activation footprint of *graph*.
@@ -150,11 +158,8 @@ def training_footprint(graph: LayerGraph,
 
 def footprint_by_region(graph: LayerGraph) -> Dict[str, int]:
     """Retained bytes grouped by the producing node's region tag."""
-    aliases = _alias_map(graph)
-    written = _forward_written_features(graph, aliases)
-    needed = _backward_read_features(graph, aliases)
     out: Dict[str, int] = {}
-    for tensor in written & needed:
+    for tensor in retained_tensors(graph):
         producer = graph.producer_of(tensor)
         region = producer.region if producer else ""
         out[region] = out.get(region, 0) + graph.tensor(tensor).size_bytes

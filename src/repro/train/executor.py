@@ -1,30 +1,47 @@
 """GraphExecutor: run a (possibly restructured) layer graph numerically.
 
-The executor walks the node list forward and in reverse for backward,
-binding tensors to numpy arrays. Reference nodes dispatch to
-:mod:`repro.nn` layers; nodes carrying fusion attributes dispatch to the
-fused kernels of :mod:`repro.kernels`; ghosted nodes are skipped (their
-work happens inside their hosts). Parameter initialization is derived from
-node *names*, so a baseline graph and any restructured clone start from
-bit-identical weights — the precondition for the equivalence tests.
+The constructor builds one layer per node and compiles the graph once into
+a *step plan*: a flat list of forward entries in node order and one of
+backward entries in reverse, one of each per alive node. An entry holds
+its handler and module, the fusion partners its node attrs name, resolved
+to nodes once, the tensors it reads and writes, and the names it is the
+last to need. Ghosted nodes get no entry (their work happens inside their
+hosts), nor do DATA and LOSS: ``forward`` binds the batch before the plan
+and takes the loss after it, and ``backward`` starts from the loss
+gradient and returns the input gradient.
 
-Per-BN context (saved statistics, saved input, dgamma/dbeta) lives in
-``self._bn_ctx`` keyed by the original BN layer name; the reverse schedule
-guarantees sub-BN2' work (which fills dgamma/dbeta) runs before any
-sub-BN1' transform that needs it — the same strict dependency the paper's
-Fission respects.
+Activations (``env``) and gradients (``grads``) are keyed by tensor name,
+and each dies at its last use: an activation after its last reader (a
+forward entry, since every layer saves what its own backward needs,
+unless an RCF convolution reads its input again in backward), a gradient
+after the entry that consumes it, a BN context (``self._bn_ctx``, keyed by
+the original BN layer name) after its sub-BN1' transform, and a layer's
+saved tensors (``Module.release``) after its backward entry. So what
+crosses the forward/backward boundary is the retained set
+:func:`repro.perf.footprint.retained_tensors` predicts, apart from what
+``tests/train/test_step_plan.py`` names, and no feature map outlives the
+step. Freeing during the step, not after it, lets the allocator hand the
+pages to the next tensor instead of returning them to the system.
+
+The reverse schedule runs sub-BN2' (which fills dgamma/dbeta) before any
+sub-BN1' transform that needs it — the strict dependency the paper's
+Fission respects. Parameter initialization is derived from node *names*,
+so a baseline graph and any restructured clone start from bit-identical
+weights — the precondition for the equivalence tests.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ExecutionError
 from repro.graph.graph import LayerGraph
 from repro.graph.node import Node, OpKind
+from repro.kernels import blocked
 from repro.kernels.bn_relu_conv_fused import bn_relu_conv_backward, bn_relu_conv_forward
 from repro.kernels.bn_stats import channel_sum, onepass_stats, twopass_stats
 from repro.kernels.conv_bn_fused import bn_input_grad_transform
@@ -35,9 +52,35 @@ from repro.nn.depthwise import DepthwiseConv2d
 from repro.nn.linear import Linear
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.merge import Add, Concat
-from repro.nn.module import Parameter
+from repro.nn.module import Module, Parameter
 from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from repro.nn.relu import ReLU
+
+
+@dataclass(eq=False)
+class PlanEntry:
+    """One alive node's forward or backward half, resolved once."""
+
+    node: Node
+    run: Callable[["GraphExecutor", "PlanEntry", Dict[str, np.ndarray]], None]
+    module: Optional[Module]
+    #: Input tensor -> the ghosted BN_NORM this entry normalizes it with.
+    norms: Dict[str, Node]
+    #: Tensor -> the BN_STATS whose sub-BN1' this entry runs for its gradient.
+    transforms: Dict[str, Node]
+    relu: bool  # a CONV with its ReLU fused in
+    #: Forward: BN_STATS whose statistics are taken on the output.
+    out_stats: Tuple[Node, ...] = ()
+    #: Tensors read and written: activations forward, gradients backward;
+    #: ``frees`` are those it reads or writes last.
+    reads: Tuple[str, ...] = ()
+    writes: Tuple[str, ...] = ()
+    frees: List[str] = field(default_factory=list)
+    #: Backward: activations it reads, those it reads last, and the BN
+    #: contexts whose sub-BN1' it runs.
+    reads_env: Tuple[str, ...] = ()
+    frees_env: List[str] = field(default_factory=list)
+    frees_ctx: Tuple[str, ...] = ()
 
 
 class GraphExecutor:
@@ -58,13 +101,20 @@ class GraphExecutor:
         self.bn_params: Dict[str, BatchNorm2d] = {}
         self.loss_module = SoftmaxCrossEntropy()
         self._env: Dict[str, np.ndarray] = {}
-        self._grads: Dict[str, np.ndarray] = {}
         self._bn_ctx: Dict[str, dict] = {}
-        self._loss_node: Optional[Node] = None
         self._build_modules()
         if self.dtype != np.dtype(np.float32):
             for p in self.parameters():
                 p.data = p.data.astype(self.dtype)
+        self._compile()
+        # glibc maps a request above its mmap threshold afresh, and raises
+        # that threshold to the largest such block freed (up to 32 MB) and
+        # its heap-trim threshold to twice that. Left low, they let a free
+        # at last use trim the heap top mid-step, and the next step faults
+        # the pages in again: 2,100-2,700 per baseline step of the
+        # DenseNet-BC miniature. One untouched 30 MB block, freed at once,
+        # raises both; other allocators just map and unmap it.
+        np.empty(30 << 20, dtype=np.uint8)
 
     # ------------------------------------------------------------------ setup --
     def _seed_for(self, name: str) -> int:
@@ -72,58 +122,115 @@ class GraphExecutor:
 
     def _build_modules(self) -> None:
         for node in self.graph.nodes:
-            k = node.kind
-            if k == OpKind.CONV:
-                if node.attrs.get("depthwise"):
-                    self.modules[node.name] = DepthwiseConv2d(
-                        node.attrs["in_channels"], node.attrs["kernel"],
-                        node.attrs["stride"], node.attrs["padding"],
-                        name=node.name, seed=self._seed_for(node.name),
-                    )
-                else:
-                    self.modules[node.name] = Conv2d(
-                        node.attrs["in_channels"], node.attrs["out_channels"],
-                        node.attrs["kernel"], node.attrs["stride"],
-                        node.attrs["padding"], name=node.name,
-                        seed=self._seed_for(node.name),
-                    )
+            k, a, name = node.kind, node.attrs, node.name
+            seeded = dict(name=name, seed=self._seed_for(name))
+            if k == OpKind.CONV and a.get("depthwise"):
+                module = DepthwiseConv2d(a["in_channels"], a["kernel"],
+                                         a["stride"], a["padding"], **seeded)
+            elif k == OpKind.CONV:
+                module = Conv2d(a["in_channels"], a["out_channels"], a["kernel"],
+                                a["stride"], a["padding"], **seeded)
             elif k == OpKind.FC:
-                self.modules[node.name] = Linear(
-                    node.attrs["in_features"], node.attrs["out_features"],
-                    name=node.name, seed=self._seed_for(node.name),
-                )
+                module = Linear(a["in_features"], a["out_features"], **seeded)
             elif k == OpKind.BN:
-                bn = BatchNorm2d(node.attrs["channels"], name=node.name)
-                self.modules[node.name] = bn
-                self.bn_params[node.name] = bn
-            elif k in (OpKind.BN_STATS, OpKind.BN_NORM):
-                bn_name = node.attrs["bn_name"]
-                if bn_name not in self.bn_params:
-                    self.bn_params[bn_name] = BatchNorm2d(
-                        node.attrs["channels"], name=bn_name
-                    )
-            elif k == OpKind.RELU:
-                self.modules[node.name] = ReLU(name=node.name)
-            elif k == OpKind.POOL_MAX:
-                self.modules[node.name] = MaxPool2d(
-                    node.attrs["kernel"], node.attrs["stride"],
-                    node.attrs["padding"], node.attrs.get("ceil_mode", False),
-                    name=node.name,
-                )
-            elif k == OpKind.POOL_AVG:
-                self.modules[node.name] = AvgPool2d(
-                    node.attrs["kernel"], node.attrs["stride"],
-                    node.attrs["padding"], node.attrs.get("ceil_mode", False),
-                    name=node.name,
-                )
-            elif k == OpKind.POOL_GLOBAL:
-                self.modules[node.name] = GlobalAvgPool2d(name=node.name)
-            elif k == OpKind.CONCAT:
-                self.modules[node.name] = Concat(name=node.name)
-            elif k == OpKind.EWS:
-                self.modules[node.name] = Add(name=node.name)
-            elif k == OpKind.LOSS:
-                self._loss_node = node
+                module = self.bn_params[name] = BatchNorm2d(a["channels"], name=name)
+            elif k in (OpKind.POOL_MAX, OpKind.POOL_AVG):
+                pool = MaxPool2d if k == OpKind.POOL_MAX else AvgPool2d
+                module = pool(a["kernel"], a["stride"], a["padding"],
+                              a.get("ceil_mode", False), name=name)
+            elif k in _BY_NAME:
+                module = _BY_NAME[k](name=name)
+            else:
+                if k in (OpKind.BN_STATS, OpKind.BN_NORM) \
+                        and a["bn_name"] not in self.bn_params:
+                    self.bn_params[a["bn_name"]] = BatchNorm2d(
+                        a["channels"], name=a["bn_name"])
+                continue
+            self.modules[name] = module
+
+    def _compile(self) -> None:
+        """Build the forward and backward plans and schedule every free."""
+        self.forward_plan: List[PlanEntry] = []
+        self.backward_plan: List[PlanEntry] = []
+        self._data = self._logits = None
+        bound = set()
+        for node in self.graph.nodes:
+            if node.attrs.get("fused_into"):
+                continue  # ghosts execute inside their hosts
+            if node.kind == OpKind.DATA:
+                self._data = node.outputs[0]
+                bound.add(self._data)
+            elif node.kind == OpKind.LOSS:
+                self._logits = node.inputs[0]
+            else:
+                fwd, bwd = self._entries(node, bound)
+                bound.update(fwd.writes)
+                self.forward_plan.append(fwd)
+                self.backward_plan.append(bwd)
+        if self._data is None or self._logits is None:
+            raise ExecutionError("graph needs a DATA and a LOSS node")
+        self.backward_plan.reverse()
+
+        n = len(self.forward_plan)
+        last_env: Dict[str, int] = {}
+        for i, e in enumerate(self.forward_plan + self.backward_plan):
+            for t in e.reads + e.writes if i < n else e.reads_env:
+                last_env[t] = i
+        last_env.pop(self._logits, None)  # forward hands the logits to the loss
+        for t, i in last_env.items():
+            if i < n:
+                self.forward_plan[i].frees.append(t)
+            else:
+                self.backward_plan[i - n].frees_env.append(t)
+        last_grad: Dict[str, int] = {}
+        for i, e in enumerate(self.backward_plan):
+            for t in e.reads + e.writes:
+                last_grad[t] = i
+        last_grad.pop(self._data, None)  # backward returns the input gradient
+        for t, i in last_grad.items():
+            self.backward_plan[i].frees.append(t)
+
+    def _entries(self, node: Node, bound: set) -> Tuple[PlanEntry, PlanEntry]:
+        """The forward and backward entries of one alive node."""
+        k, a = node.kind, node.attrs
+        try:
+            fwd_run, bwd_run = _HANDLERS[k]
+        except KeyError:
+            raise ExecutionError(f"executor cannot run kind {k}") from None
+        look = self.graph.node
+        norms = [look(a["fused_bn_norm"])] if a.get("fused_bn_norm") else []
+        norms += [look(name) for name in a.get("fused_bn_norms", [])]
+        transforms = [look(name) for name in a.get("icf_input_grad", [])]
+        out_stats = [look(name) for name in a.get("icf_stats", [])]
+        if a.get("fused_bn_stats"):
+            transforms.append(look(a["fused_bn_stats"]))
+            out_stats.append(look(a["fused_bn_stats"]))
+        if k == OpKind.BN_STATS:  # alive sub-BN1': d(BN out) -> d(BN in)
+            transforms.append(node)
+        common = dict(
+            node=node, module=self.modules.get(node.name),
+            norms={n.inputs[0]: n for n in norms},
+            transforms={s.inputs[0]: s for s in transforms},
+            relu=bool(a.get("fused_relu")),
+        )
+        fwd = PlanEntry(
+            run=fwd_run, out_stats=tuple(out_stats),
+            reads=tuple(t for t in node.inputs if t in bound),
+            writes=() if k == OpKind.BN_STATS else tuple(node.outputs),
+            **common,
+        )
+        by_out, by_in = common["transforms"], common["norms"]
+        reads = tuple(by_out[t].attrs["y_grad_source"] if t in by_out else t
+                      for t in (node.inputs if k == OpKind.BN_STATS else node.outputs))
+        writes = () if k == OpKind.BN_NORM else tuple(
+            by_in[t].outputs[0] if t in by_in else t for t in node.inputs)
+        rcf = k == OpKind.CONV and common["relu"] and not norms
+        bwd = PlanEntry(
+            run=bwd_run, reads=reads, writes=writes,
+            frees_ctx=tuple(s.attrs["bn_name"] for s in transforms),
+            reads_env=(node.inputs[0],) if rcf else (), **common,
+        )
+        return fwd, bwd
 
     # ------------------------------------------------------------- parameters --
     def parameters(self) -> Iterator[Parameter]:
@@ -165,125 +272,73 @@ class GraphExecutor:
 
     # -------------------------------------------------------------- forward --
     def forward(self, images: np.ndarray, labels: np.ndarray) -> float:
-        env: Dict[str, np.ndarray] = {}
-        self._bn_ctx = {}
-        self._labels = labels
-        loss_value = None
-        images = np.ascontiguousarray(images, dtype=self.dtype)
+        env = {self._data: np.ascontiguousarray(images, dtype=self.dtype)}
+        self._env, self._bn_ctx = env, {}
+        self._run_forward(env)
+        return self.loss_module.forward(env.pop(self._logits), labels)
 
-        for node in self.graph.nodes:
-            if node.attrs.get("fused_into"):
-                continue  # ghosts execute inside their hosts
-            k = node.kind
-            if k == OpKind.DATA:
-                env[node.outputs[0]] = images
-            elif k == OpKind.CONV:
-                env[node.outputs[0]] = self._forward_conv(node, env)
-            elif k == OpKind.FC:
-                env[node.outputs[0]] = self.modules[node.name].forward(env[node.inputs[0]])
-            elif k == OpKind.BN:
-                env[node.outputs[0]] = self.modules[node.name].forward(env[node.inputs[0]])
-            elif k == OpKind.BN_STATS:
-                self._record_stats(node, env[node.inputs[0]])
-                env[node.outputs[0]] = self._stats_array(node)
-            elif k == OpKind.BN_NORM:
-                env[node.outputs[0]] = self._forward_norm(node, env)
-            elif k in (OpKind.RELU, OpKind.POOL_MAX, OpKind.POOL_AVG, OpKind.POOL_GLOBAL):
-                env[node.outputs[0]] = self.modules[node.name].forward(env[node.inputs[0]])
-            elif k == OpKind.CONCAT:
-                y = self.modules[node.name].forward([env[t] for t in node.inputs])
-                env[node.outputs[0]] = y
-                self._record_icf_stats(node, y)
-            elif k == OpKind.SPLIT:
-                for out in node.outputs:
-                    env[out] = env[node.inputs[0]]  # pointer passing
-            elif k == OpKind.EWS:
-                env[node.outputs[0]] = self._forward_ews(node, env)
-            elif k == OpKind.LOSS:
-                loss_value = self.loss_module.forward(env[node.inputs[0]], labels)
-            else:  # pragma: no cover - exhaustive
-                raise ExecutionError(f"executor cannot run kind {k}")
-            # ICF forward hosts other than CONCAT (stem/transition pools).
-            if k not in (OpKind.CONCAT, OpKind.DATA) and node.attrs.get("icf_stats"):
-                self._record_icf_stats(node, env[node.outputs[0]])
+    def _run_forward(self, env: Dict[str, np.ndarray]) -> None:
+        for e in self.forward_plan:
+            e.run(self, e, env)
+            for stats in e.out_stats:
+                self._record_stats(stats, env[e.node.outputs[0]])
+            for t in e.frees:
+                del env[t]
 
-        if loss_value is None:
-            raise ExecutionError("graph has no LOSS node")
-        self._env = env
-        return loss_value
+    def _forward_layer(self, e: PlanEntry, env) -> None:
+        env[e.node.outputs[0]] = e.module.forward(env[e.node.inputs[0]])
 
-    def _forward_conv(self, node: Node, env: Dict[str, np.ndarray]) -> np.ndarray:
-        conv: Conv2d = self.modules[node.name]
-        x = env[node.inputs[0]]
-        norm_name = node.attrs.get("fused_bn_norm")
-        if norm_name:
-            bn_name = self.graph.node(norm_name).attrs["bn_name"]
-            ctx = self._bn_ctx[bn_name]
-            bn = self.bn_params[bn_name]
+    def _forward_split(self, e: PlanEntry, env) -> None:
+        for out in e.node.outputs:
+            env[out] = env[e.node.inputs[0]]  # pointer passing
+
+    def _forward_stats(self, e: PlanEntry, env) -> None:
+        self._record_stats(e.node, env[e.node.inputs[0]])
+
+    def _forward_conv(self, e: PlanEntry, env) -> None:
+        conv, x = e.module, env[e.node.inputs[0]]
+        norm = e.norms.get(e.node.inputs[0])
+        if norm is not None:
+            bn, ctx = self._bn_of(norm)
             ctx["x"] = x
             y = bn_relu_conv_forward(
                 x, ctx["mean"], ctx["var"], bn.gamma.data, bn.beta.data, conv,
-                bn.eps, apply_relu=bool(node.attrs.get("fused_relu")),
+                bn.eps, apply_relu=e.relu,
             )
-        elif node.attrs.get("fused_relu"):
+        elif e.relu:
             y = relu_conv_forward(x, conv)
         else:
             y = conv.forward(x)
-        stats_name = node.attrs.get("fused_bn_stats")
-        if stats_name:
-            self._record_stats(self.graph.node(stats_name), y)
-        return y
+        env[e.node.outputs[0]] = y
+
+    def _forward_norm_entry(self, e: PlanEntry, env) -> None:
+        env[e.node.outputs[0]] = self._forward_norm(e.node, env)
 
     def _forward_norm(self, node: Node, env: Dict[str, np.ndarray]) -> np.ndarray:
-        bn = self.bn_params[node.attrs["bn_name"]]
-        ctx = self._bn_ctx[node.attrs["bn_name"]]
-        x = env[node.inputs[0]]
-        ctx["x"] = x
-        inv_std = 1.0 / np.sqrt(ctx["var"] + bn.eps)
-        x_hat = (x - ctx["mean"][None, :, None, None]) * inv_std[None, :, None, None]
-        y = bn.gamma.data[None, :, None, None] * x_hat + bn.beta.data[None, :, None, None]
-        return y.astype(x.dtype)
+        return self._normalize(node, env[node.inputs[0]])
 
-    def _forward_ews(self, node: Node, env: Dict[str, np.ndarray]) -> np.ndarray:
-        fused_norms = node.attrs.get("fused_bn_norms", [])
-        by_input = {}
-        for norm_name in fused_norms:
-            norm = self.graph.node(norm_name)
-            by_input[norm.inputs[0]] = norm
-        operands = []
-        for t in node.inputs:
-            x = env[t]
-            if t in by_input:
-                norm = by_input[t]
-                bn = self.bn_params[norm.attrs["bn_name"]]
-                ctx = self._bn_ctx[norm.attrs["bn_name"]]
-                ctx["x"] = x
-                # Same operation order as the reference BatchNorm2d so the
-                # fp32 rounding matches bit for bit.
-                inv_std = 1.0 / np.sqrt(ctx["var"] + bn.eps)
-                x_hat = (x - ctx["mean"][None, :, None, None]) * inv_std[None, :, None, None]
-                x = (bn.gamma.data[None, :, None, None] * x_hat
-                     + bn.beta.data[None, :, None, None]).astype(env[t].dtype)
-            operands.append(x)
-        return self.modules[node.name].forward(operands)
+    def _forward_merge(self, e: PlanEntry, env) -> None:  # CONCAT and EWS
+        operands = [self._normalize(e.norms[t], env[t]) if t in e.norms else env[t]
+                    for t in e.node.inputs]
+        env[e.node.outputs[0]] = e.module.forward(operands)
+
+    def _normalize(self, norm: Node, x: np.ndarray) -> np.ndarray:
+        """Sub-BN2 of an alive or EWS-fused norm, on the blocked kernel
+        ``BatchNorm2d.normalize`` runs; saves x for sub-BN2' and sub-BN1'."""
+        bn, ctx = self._bn_of(norm)
+        ctx["x"] = x
+        ctx["inv_std"] = 1.0 / np.sqrt(ctx["var"] + bn.eps)
+        return blocked.blocked_normalize_apply(
+            x, ctx["mean"], ctx["inv_std"], bn.gamma.data, bn.beta.data)
 
     def _record_stats(self, stats_node: Node, value: np.ndarray) -> None:
         bn_name = stats_node.attrs["bn_name"]
-        bn = self.bn_params[bn_name]
         if stats_node.attrs.get("mvf"):
             mean, var = onepass_stats(value)
         else:
             mean, var = twopass_stats(value)
         self._bn_ctx[bn_name] = {"mean": mean, "var": var}
-        bn._update_running(mean, var, value)
-
-    def _record_icf_stats(self, host: Node, value: np.ndarray) -> None:
-        for stats_name in host.attrs.get("icf_stats", []):
-            self._record_stats(self.graph.node(stats_name), value)
-
-    def _stats_array(self, stats_node: Node) -> np.ndarray:
-        ctx = self._bn_ctx[stats_node.attrs["bn_name"]]
-        return np.stack([ctx["mean"], ctx["var"]])
+        self.bn_params[bn_name]._update_running(mean, var, value)
 
     # ------------------------------------------------------------- inference --
     def predict(self, images: np.ndarray) -> np.ndarray:
@@ -298,201 +353,132 @@ class GraphExecutor:
                 "predict() requires an unrestructured graph; inference-time "
                 "BN fusion is weight folding, not scheduling"
             )
-        images = np.ascontiguousarray(images, dtype=self.dtype)
-        env: Dict[str, np.ndarray] = {}
-        logits = None
-        for node in self.graph.nodes:
-            k = node.kind
-            if k == OpKind.DATA:
-                env[node.outputs[0]] = images
-            elif k == OpKind.BN:
-                bn = self.modules[node.name]
-                was_training = bn.training
-                bn.eval()
-                env[node.outputs[0]] = bn.forward(env[node.inputs[0]])
-                bn.train(was_training)
-            elif k in (OpKind.CONV, OpKind.FC, OpKind.RELU, OpKind.POOL_MAX,
-                       OpKind.POOL_AVG, OpKind.POOL_GLOBAL):
-                env[node.outputs[0]] = self.modules[node.name].forward(
-                    env[node.inputs[0]]
-                )
-            elif k == OpKind.CONCAT:
-                env[node.outputs[0]] = self.modules[node.name].forward(
-                    [env[t] for t in node.inputs]
-                )
-            elif k == OpKind.SPLIT:
-                for out in node.outputs:
-                    env[out] = env[node.inputs[0]]
-            elif k == OpKind.EWS:
-                env[node.outputs[0]] = self.modules[node.name].forward(
-                    [env[t] for t in node.inputs]
-                )
-            elif k == OpKind.LOSS:
-                logits = env[node.inputs[0]]
-        if logits is None:
-            raise ExecutionError("graph has no LOSS node to locate logits")
-        return logits
+        modes = [(bn, bn.training) for bn in self.bn_params.values()]
+        for bn, _ in modes:
+            bn.eval()
+        env = {self._data: np.ascontiguousarray(images, dtype=self.dtype)}
+        self._run_forward(env)
+        for bn, training in modes:
+            bn.train(training)
+        for e in self.forward_plan:
+            if e.module is not None:
+                e.module.release()
+        return env.pop(self._logits)
 
     # -------------------------------------------------------------- backward --
     def backward(self) -> np.ndarray:
         """Backpropagate from the loss; returns the input-image gradient."""
-        env = self._env
-        grads: Dict[str, np.ndarray] = {}
-        input_grad = None
-
-        for node in reversed(self.graph.nodes):
-            if node.attrs.get("fused_into"):
-                continue
-            k = node.kind
-            if k == OpKind.LOSS:
-                grads[node.inputs[0]] = self.loss_module.backward()
-            elif k == OpKind.FC:
-                grads[node.inputs[0]] = self.modules[node.name].backward(
-                    grads[node.outputs[0]]
-                )
-            elif k == OpKind.CONV:
-                self._backward_conv(node, env, grads)
-            elif k == OpKind.BN:
-                grads[node.inputs[0]] = self.modules[node.name].backward(
-                    grads[node.outputs[0]]
-                )
-            elif k == OpKind.BN_NORM:
-                self._backward_norm(node, grads)
-            elif k == OpKind.BN_STATS:
-                self._backward_stats(node, grads)
-            elif k in (OpKind.RELU, OpKind.POOL_MAX, OpKind.POOL_AVG, OpKind.POOL_GLOBAL):
-                grads[node.inputs[0]] = self.modules[node.name].backward(
-                    grads[node.outputs[0]]
-                )
-            elif k == OpKind.CONCAT:
-                self._backward_concat(node, grads)
-            elif k == OpKind.SPLIT:
-                self._backward_split(node, grads)
-            elif k == OpKind.EWS:
-                self._backward_ews(node, env, grads)
-            elif k == OpKind.DATA:
-                input_grad = grads.get(node.outputs[0])
-
-        self._grads = grads
-        if input_grad is None:
-            raise ExecutionError("backward never reached the DATA node")
-        return input_grad
+        env, ctx = self._env, self._bn_ctx
+        grads = {self._logits: self.loss_module.backward()}
+        self.loss_module.release()
+        for e in self.backward_plan:
+            e.run(self, e, grads)
+            for t in e.frees:
+                del grads[t]
+            for t in e.frees_env:
+                del env[t]
+            for bn_name in e.frees_ctx:
+                del ctx[bn_name]
+            if e.module is not None:
+                e.module.release()
+        try:
+            return grads.pop(self._data)
+        except KeyError:
+            raise ExecutionError("backward never reached the DATA node") from None
 
     def _bn_of(self, norm_or_stats: Node):
         bn_name = norm_or_stats.attrs["bn_name"]
         return self.bn_params[bn_name], self._bn_ctx[bn_name]
 
-    def _transform(self, stats_node: Node, d_bn_out: np.ndarray) -> np.ndarray:
-        """Apply sub-BN1' (needs dgamma/dbeta already recorded in context)."""
-        bn, ctx = self._bn_of(stats_node)
+    def _grad_at(self, e: PlanEntry, tensor: str, grads) -> np.ndarray:
+        """Gradient at *tensor*: the sub-BN1' transform of the BN-output
+        gradient when *tensor* feeds a BN whose sub-BN1' this entry runs
+        (which needs dgamma/dbeta already recorded in its context)."""
+        stats = e.transforms.get(tensor)
+        if stats is None:
+            return grads[tensor]
+        bn, ctx = self._bn_of(stats)
         if "dgamma" not in ctx:
             raise ExecutionError(
-                f"{stats_node.name}: input-grad transform before dgamma/dbeta "
+                f"{stats.name}: input-grad transform before dgamma/dbeta "
                 f"(sub-BN2' must run first)"
             )
         return bn_input_grad_transform(
-            d_bn_out, ctx["x"], ctx["mean"], ctx["var"],
-            bn.gamma.data, ctx["dgamma"], ctx["dbeta"], bn.eps,
+            grads[stats.attrs["y_grad_source"]], ctx["x"], ctx["mean"],
+            ctx["var"], bn.gamma.data, ctx["dgamma"], ctx["dbeta"], bn.eps,
         )
 
-    def _incoming_grad_for_conv(self, node: Node, grads: Dict[str, np.ndarray]) -> np.ndarray:
-        """Gradient at the conv output, applying a fused sub-BN1' if present."""
-        stats_name = node.attrs.get("fused_bn_stats")
-        if stats_name:
-            stats_node = self.graph.node(stats_name)
-            d_bn_out = grads[stats_node.attrs["y_grad_source"]]
-            return self._transform(stats_node, d_bn_out)
-        return grads[node.outputs[0]]
+    def _backward_layer(self, e: PlanEntry, grads) -> None:
+        grads[e.node.inputs[0]] = e.module.backward(grads[e.node.outputs[0]])
 
-    def _backward_conv(self, node: Node, env, grads) -> None:
-        conv: Conv2d = self.modules[node.name]
-        dy = self._incoming_grad_for_conv(node, grads)
-        norm_name = node.attrs.get("fused_bn_norm")
-        if norm_name:
-            norm = self.graph.node(norm_name)
+    def _backward_conv(self, e: PlanEntry, grads) -> None:
+        conv, x = e.module, e.node.inputs[0]
+        dy = self._grad_at(e, e.node.outputs[0], grads)
+        norm = e.norms.get(x)
+        if norm is not None:
             bn, ctx = self._bn_of(norm)
             d_bn_out, dgamma, dbeta = bn_relu_conv_backward(
                 dy, conv, ctx["x"], ctx["mean"], ctx["var"],
-                bn.gamma.data, bn.beta.data, bn.eps,
-                apply_relu=bool(node.attrs.get("fused_relu")),
+                bn.gamma.data, bn.beta.data, bn.eps, apply_relu=e.relu,
             )
-            bn.gamma.accumulate_grad(dgamma)
-            bn.beta.accumulate_grad(dbeta)
-            ctx["dgamma"], ctx["dbeta"] = dgamma, dbeta
+            self._set_param_grads(bn, ctx, dgamma, dbeta)
             grads[norm.outputs[0]] = d_bn_out
-        elif node.attrs.get("fused_relu"):
-            dx, _ = relu_conv_backward(env[node.inputs[0]], dy, conv)
-            grads[node.inputs[0]] = dx
+        elif e.relu:
+            grads[x] = relu_conv_backward(self._env[x], dy, conv)[0]
         else:
-            grads[node.inputs[0]] = conv.backward(dy)
+            grads[x] = conv.backward(dy)
+
+    def _backward_norm_entry(self, e: PlanEntry, grads) -> None:
+        self._backward_norm(e.node, grads)
 
     def _backward_norm(self, node: Node, grads) -> None:
         """Alive sub-BN2': dgamma/dbeta only; the gradient at the BN output
         stays in place for the stats node (sub-BN1') to consume."""
-        bn, ctx = self._bn_of(node)
-        dy = grads[node.outputs[0]]
-        inv_std = 1.0 / np.sqrt(ctx["var"] + bn.eps)
-        x_hat = (ctx["x"] - ctx["mean"][None, :, None, None]) * inv_std[None, :, None, None]
-        dgamma = channel_sum(dy * x_hat).astype(bn.gamma.data.dtype)
-        dbeta = channel_sum(dy).astype(bn.beta.data.dtype)
+        self._param_grads(node, grads[node.outputs[0]])
+
+    def _param_grads(self, norm: Node, dy: np.ndarray) -> None:
+        """Sub-BN2' of an alive or EWS-fused norm: x_hat formed once, the
+        dgamma product written into it."""
+        bn, ctx = self._bn_of(norm)
+        x_hat = ctx["x"] - ctx["mean"][None, :, None, None]
+        np.multiply(x_hat, ctx["inv_std"][None, :, None, None], out=x_hat)
+        np.multiply(x_hat, dy, out=x_hat)
+        self._set_param_grads(bn, ctx, channel_sum(x_hat).astype(bn.gamma.data.dtype),
+                              channel_sum(dy).astype(bn.beta.data.dtype))
+
+    @staticmethod
+    def _set_param_grads(bn: BatchNorm2d, ctx: dict, dgamma, dbeta) -> None:
         bn.gamma.accumulate_grad(dgamma)
         bn.beta.accumulate_grad(dbeta)
         ctx["dgamma"], ctx["dbeta"] = dgamma, dbeta
 
-    def _backward_stats(self, node: Node, grads) -> None:
-        """Alive sub-BN1': transform the BN-output gradient into the input
-        gradient."""
-        d_bn_out = grads[node.attrs["y_grad_source"]]
-        self._add_grad(grads, node.inputs[0], self._transform(node, d_bn_out))
+    def _backward_stats(self, e: PlanEntry, grads) -> None:
+        """Alive sub-BN1': the BN-output gradient into the input gradient."""
+        x = e.node.inputs[0]
+        self._add_grad(grads, x, self._grad_at(e, x, grads))
 
-    def _backward_concat(self, node: Node, grads) -> None:
-        dy = self._host_incoming_grad(node, node.outputs[0], grads)
-        slices = self.modules[node.name].backward(dy)
-        for t, g in zip(node.inputs, slices):
+    def _backward_concat(self, e: PlanEntry, grads) -> None:
+        slices = e.module.backward(self._grad_at(e, e.node.outputs[0], grads))
+        for t, g in zip(e.node.inputs, slices):
             self._add_grad(grads, t, g)
 
-    def _backward_split(self, node: Node, grads) -> None:
-        icf_by_branch = {}
-        for stats_name in node.attrs.get("icf_input_grad", []):
-            stats_node = self.graph.node(stats_name)
-            icf_by_branch[stats_node.inputs[0]] = stats_node
-        total = None
-        for branch in node.outputs:
-            if branch in icf_by_branch:
-                stats_node = icf_by_branch[branch]
-                g = self._transform(stats_node, grads[stats_node.attrs["y_grad_source"]])
+    def _backward_split(self, e: PlanEntry, grads) -> None:
+        branches = iter(e.node.outputs)
+        total = self._grad_at(e, next(branches), grads)
+        for i, branch in enumerate(branches):
+            g = self._grad_at(e, branch, grads)
+            if i == 0:
+                total = total + g  # fresh: never add into a branch gradient
             else:
-                g = grads[branch]
-            total = g.copy() if total is None else total + g
-        self._add_grad(grads, node.inputs[0], total)
+                np.add(total, g, out=total)
+        self._add_grad(grads, e.node.inputs[0], total)
 
-    def _host_incoming_grad(self, node: Node, tensor: str, grads) -> np.ndarray:
-        """Gradient at *tensor*, honouring an ICF'd BN that consumed it."""
-        for stats_name in node.attrs.get("icf_input_grad", []):
-            stats_node = self.graph.node(stats_name)
-            if stats_node.inputs[0] == tensor:
-                return self._transform(
-                    stats_node, grads[stats_node.attrs["y_grad_source"]]
-                )
-        return grads[tensor]
-
-    def _backward_ews(self, node: Node, env, grads) -> None:
-        dy = grads[node.outputs[0]]
-        by_input = {}
-        for norm_name in node.attrs.get("fused_bn_norms", []):
-            norm = self.graph.node(norm_name)
-            by_input[norm.inputs[0]] = norm
-        for t in node.inputs:
-            if t in by_input:
-                norm = by_input[t]
-                bn, ctx = self._bn_of(norm)
-                inv_std = 1.0 / np.sqrt(ctx["var"] + bn.eps)
-                x_hat = (ctx["x"] - ctx["mean"][None, :, None, None]) * inv_std[None, :, None, None]
-                dgamma = channel_sum(dy * x_hat).astype(bn.gamma.data.dtype)
-                dbeta = channel_sum(dy).astype(bn.beta.data.dtype)
-                bn.gamma.accumulate_grad(dgamma)
-                bn.beta.accumulate_grad(dbeta)
-                ctx["dgamma"], ctx["dbeta"] = dgamma, dbeta
+    def _backward_ews(self, e: PlanEntry, grads) -> None:
+        dy = grads[e.node.outputs[0]]
+        for t in e.node.inputs:
+            norm = e.norms.get(t)
+            if norm is not None:
+                self._param_grads(norm, dy)
                 grads[norm.outputs[0]] = dy.copy()
             else:
                 self._add_grad(grads, t, dy.copy())
@@ -504,15 +490,20 @@ class GraphExecutor:
         else:
             grads[tensor] = g
 
-    # ------------------------------------------------------------- inspection --
-    def gradient_of(self, tensor: str) -> np.ndarray:
-        try:
-            return self._grads[tensor]
-        except KeyError:
-            raise ExecutionError(f"no gradient recorded for {tensor!r}") from None
 
-    def activation_of(self, tensor: str) -> np.ndarray:
-        try:
-            return self._env[tensor]
-        except KeyError:
-            raise ExecutionError(f"no activation recorded for {tensor!r}") from None
+#: Layers built from a name alone.
+_BY_NAME = {OpKind.RELU: ReLU, OpKind.POOL_GLOBAL: GlobalAvgPool2d,
+            OpKind.CONCAT: Concat, OpKind.EWS: Add}
+_LAYER = (GraphExecutor._forward_layer, GraphExecutor._backward_layer)
+#: Op kind -> (forward, backward) handler of its plan entries.
+_HANDLERS = {
+    OpKind.CONV: (GraphExecutor._forward_conv, GraphExecutor._backward_conv),
+    OpKind.FC: _LAYER, OpKind.BN: _LAYER, OpKind.RELU: _LAYER,
+    OpKind.POOL_MAX: _LAYER, OpKind.POOL_AVG: _LAYER, OpKind.POOL_GLOBAL: _LAYER,
+    OpKind.BN_STATS: (GraphExecutor._forward_stats, GraphExecutor._backward_stats),
+    OpKind.BN_NORM: (GraphExecutor._forward_norm_entry,
+                     GraphExecutor._backward_norm_entry),
+    OpKind.CONCAT: (GraphExecutor._forward_merge, GraphExecutor._backward_concat),
+    OpKind.SPLIT: (GraphExecutor._forward_split, GraphExecutor._backward_split),
+    OpKind.EWS: (GraphExecutor._forward_merge, GraphExecutor._backward_ews),
+}

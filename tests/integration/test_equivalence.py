@@ -89,28 +89,24 @@ class TestStepEquivalence:
 
 class TestGhostSemantics:
     def test_ghost_nodes_do_not_execute(self):
-        """Restructured graphs must not bind values for ghosted outputs."""
+        """Restructured graphs must not bind values for ghosted outputs:
+        no forward entry of the compiled plan writes one."""
         g = build_model("tiny_densenet", batch=4)
         gg, _ = apply_scenario(g, "bnff")
         ex = GraphExecutor(gg, seed=0)
-        x, y = synthetic_batch(4, (3, 16, 16), 10, seed=0)
-        ex.forward(x, y)
-        ghost_outputs = [
-            n.outputs[0]
-            for n in gg.nodes
-            if n.attrs.get("fused_into") and n.kind.value == "relu"
-        ]
-        assert ghost_outputs
-        for t in ghost_outputs:
-            with pytest.raises(Exception):
-                ex.activation_of(t)
+        ghosts = [n for n in gg.nodes if n.attrs.get("fused_into")]
+        ghost_relus = [n.outputs[0] for n in ghosts if n.kind.value == "relu"]
+        assert ghost_relus
+        written = {t for e in ex.forward_plan for t in e.writes}
+        assert not written & {t for n in ghosts for t in n.outputs}
+        assert {e.node.name for e in ex.forward_plan}.isdisjoint(
+            n.name for n in ghosts)
 
     def test_normalized_maps_not_materialized_under_full_fusion(self):
         """Interior BN outputs are transient in the restructured schedule."""
         g = build_model("tiny_cnn", batch=4)
         gg, _ = apply_scenario(g, "bnff")
         ex = GraphExecutor(gg, seed=0)
-        x, y = synthetic_batch(4, (3, 16, 16), 10, seed=0)
-        ex.forward(x, y)
-        with pytest.raises(Exception):
-            ex.activation_of("body/bn1.out")
+        assert "body/bn1.out" in {t for e in GraphExecutor(g, seed=0).forward_plan
+                                  for t in e.writes}
+        assert "body/bn1.out" not in {t for e in ex.forward_plan for t in e.writes}

@@ -76,4 +76,6 @@ class TestPrecisionScaling:
             assert p.data.dtype == np.float64
         x, y = synthetic_batch(4, (3, 16, 16), 10, seed=0)
         ex.forward(np.asarray(x, dtype=np.float32), y)  # cast on entry
-        assert ex.activation_of("body/conv1.out").dtype == np.float64
+        assert ex.backward().dtype == np.float64
+        for p in ex.parameters():
+            assert p.grad.dtype == np.float64

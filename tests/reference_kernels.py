@@ -18,6 +18,10 @@ arithmetic, and compare the new paths against them:
   sub-BN2 affine and sub-BN1' transform expressions the blocked kernels
   reproduce, and :func:`batchnorm_input_grad`, ``BatchNorm2d``'s own
   sub-BN1' before it ran on the blocked transform;
+* :func:`executor_normalize` and :func:`executor_param_grads` — the
+  sub-BN2 and sub-BN2' math ``GraphExecutor`` ran inline for alive and
+  EWS-fused BN norms, full-size ``x_hat`` and products included, before
+  it ran them on ``blocked_normalize_apply`` and one shared routine;
 * :func:`lowered_convs` — 1x1 convolutions through ``im2col``/``col2im``
   instead of the direct channel GEMM;
 * :func:`x_lowering_backward` and :func:`conv_backward` — the backward of a
@@ -35,6 +39,7 @@ import contextlib
 
 import numpy as np
 
+from repro.kernels import bn_stats
 from repro.kernels.bn_stats import resolve_accumulate_dtype, stat_dtype
 from repro.nn import Conv2d
 from repro.nn.im2col import col2im, im2col
@@ -136,6 +141,31 @@ def batchnorm_input_grad(bn, dy, dgamma, dbeta):
     dx = (g / m) * (m * dy_wide - dbeta[None, :, None, None]
                     - x_hat * dgamma[None, :, None, None])
     return dx.astype(dy.dtype)
+
+
+def executor_normalize(ex, norm, x):
+    """``GraphExecutor._normalize`` as the inline expression the executor's
+    ``_forward_norm`` and ``_forward_ews`` used."""
+    bn, ctx = ex._bn_of(norm)
+    ctx["x"] = x
+    ctx["inv_std"] = inv_std = 1.0 / np.sqrt(ctx["var"] + bn.eps)
+    x_hat = (x - ctx["mean"][None, :, None, None]) * inv_std[None, :, None, None]
+    y = (bn.gamma.data[None, :, None, None] * x_hat
+         + bn.beta.data[None, :, None, None])
+    return y.astype(x.dtype)
+
+
+def executor_param_grads(ex, norm, dy):
+    """``GraphExecutor._param_grads`` as the inline expression the
+    executor's ``_backward_norm`` and ``_backward_ews`` used, summing
+    through the library's ``channel_sum`` as they did."""
+    bn, ctx = ex._bn_of(norm)
+    inv_std = 1.0 / np.sqrt(ctx["var"] + bn.eps)
+    x_hat = (ctx["x"] - ctx["mean"][None, :, None, None]) \
+        * inv_std[None, :, None, None]
+    dgamma = bn_stats.channel_sum(dy * x_hat).astype(bn.gamma.data.dtype)
+    dbeta = bn_stats.channel_sum(dy).astype(bn.beta.data.dtype)
+    ex._set_param_grads(bn, ctx, dgamma, dbeta)
 
 
 @contextlib.contextmanager

@@ -70,17 +70,6 @@ class TestExecutorBasics:
         with pytest.raises(ExecutionError):
             ex.load_state_dict({"bogus": np.zeros(1)})
 
-    def test_gradient_inspection(self):
-        g = build_model("tiny_cnn", batch=4)
-        ex = GraphExecutor(g, seed=0)
-        x, y = synthetic_batch(4, (3, 16, 16), 10, seed=2)
-        ex.forward(x, y)
-        ex.backward()
-        gr = ex.gradient_of("body/conv1.out")
-        assert gr.shape == (4, 8, 16, 16)
-        with pytest.raises(ExecutionError):
-            ex.gradient_of("nope")
-
 
 class TestSGD:
     def test_plain_sgd_step(self):

@@ -300,6 +300,4 @@ class GraphBuilder:
             pos = self.graph.index_of(producer.name) + 1
             self.graph.add_node(node, position=pos)
             for consumer, branch in zip(consumers, outs):
-                consumer.inputs = [
-                    branch if t == tensor.name else t for t in consumer.inputs
-                ]
+                self.graph.replace_input(consumer, tensor.name, branch)

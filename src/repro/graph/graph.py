@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import GraphError
@@ -18,7 +19,21 @@ class LayerGraph:
     passes mutate nodes/edges in place but must keep the order topological;
     :meth:`validate` checks the invariants and is called by every pass and
     test.
+
+    Consumers are indexed only while a graph is being edited. The first
+    :meth:`consumers_of` call builds a tensor -> consumers index;
+    :meth:`add_node`, :meth:`remove_node` and :meth:`replace_input` keep
+    it current, and :meth:`validate` (the end of ``finalize`` and of
+    every pass) drops it, so no validated, cloned, cached or pickled
+    graph carries it. Passes therefore rewire an edge only through
+    :meth:`replace_input` and never assign ``node.inputs``: an assignment
+    while the index is live would leave it stale.
     """
+
+    #: tensor -> its consumer nodes, in node order; ``None`` when not
+    #: built. Set on the instance by :meth:`consumers_of`, deleted by
+    #: :meth:`validate`.
+    _consumers: Optional[Dict[str, List[Node]]] = None
 
     def __init__(self, name: str = "graph"):
         self.name = name
@@ -56,6 +71,9 @@ class LayerGraph:
         else:
             self.nodes.insert(position, node)
         self._node_index[node.name] = node
+        if self._consumers is not None:
+            for t in dict.fromkeys(node.inputs):
+                self._index_consumer(t, node)
         return node
 
     def remove_node(self, name: str) -> Node:
@@ -65,7 +83,33 @@ class LayerGraph:
         del self._node_index[name]
         for t in node.outputs:
             self._producer.pop(t, None)
+        if self._consumers is not None:
+            for t in dict.fromkeys(node.inputs):
+                self._consumers[t].remove(node)
         return node
+
+    def replace_input(self, node: Node, old: str, new: str) -> None:
+        """Rewire every *old* input of *node* to *new*.
+
+        The one way a pass changes an edge: it keeps the consumer index
+        current, where assigning ``node.inputs`` would not.
+        """
+        if old not in node.inputs:
+            raise GraphError(f"{node.name}: {old!r} is not an input")
+        self.tensor(new)  # raises on an unknown tensor
+        node.inputs = [new if t == old else t for t in node.inputs]
+        if self._consumers is not None:
+            self._consumers[old].remove(node)
+            if node not in self._consumers.get(new, ()):
+                self._index_consumer(new, node)
+
+    def _index_consumer(self, tensor: str, node: Node) -> None:
+        """Enter *node* among *tensor*'s indexed consumers, in node order."""
+        consumers = self._consumers.setdefault(tensor, [])
+        if consumers:
+            insort(consumers, node, key=self.nodes.index)
+        else:
+            consumers.append(node)
 
     # -- queries -------------------------------------------------------------
     def node(self, name: str) -> Node:
@@ -88,13 +132,20 @@ class LayerGraph:
         return self._node_index[name] if name else None
 
     def consumers_of(self, tensor: str) -> List[Node]:
-        return [n for n in self.nodes if tensor in n.inputs]
+        """The nodes reading *tensor* (ghosts included), in node order.
+
+        The first call builds the consumer index that later calls read,
+        until :meth:`validate` drops it.
+        """
+        if self._consumers is None:
+            self._consumers = {}
+            for node in self.nodes:
+                for t in dict.fromkeys(node.inputs):
+                    self._consumers.setdefault(t, []).append(node)
+        return list(self._consumers.get(tensor, ()))
 
     def index_of(self, name: str) -> int:
-        for i, n in enumerate(self.nodes):
-            if n.name == name:
-                return i
-        raise GraphError(f"no node named {name!r}")
+        return self.nodes.index(self.node(name))
 
     def nodes_of_kind(self, *kinds: OpKind) -> List[Node]:
         wanted = set(kinds)
@@ -113,9 +164,15 @@ class LayerGraph:
           parameter tensor with no producer;
         * every sweep in every ledger references a known tensor;
         * node order is topological.
+
+        It also ends the edit: it first drops the consumer index, if
+        :meth:`consumers_of` built one, so a graph leaving ``finalize`` or
+        a pass carries exactly the attributes it was built with.
         """
         from repro.tensors.tensor_spec import TensorKind
 
+        if self._consumers is not None:
+            del self._consumers
         seen: set = set()
         for node in self.nodes:
             for t in node.inputs:
@@ -145,10 +202,9 @@ class LayerGraph:
         return sum(len(n.fwd_sweeps) + len(n.bwd_sweeps) for n in self.nodes)
 
     def clone(self) -> "LayerGraph":
-        """Deep-enough copy: nodes and ledgers are fresh, specs shared
-        (immutable)."""
-        import copy
-
+        """Deep-enough copy: nodes, ledgers and attribute lists are fresh,
+        specs shared (immutable). Attribute values are scalars and lists
+        of names, so copying each list copies everything mutable."""
         g = LayerGraph(self.name)
         g.tensors = dict(self.tensors)
         g._producer = dict(self._producer)
@@ -158,7 +214,8 @@ class LayerGraph:
                 kind=node.kind,
                 inputs=list(node.inputs),
                 outputs=list(node.outputs),
-                attrs=copy.deepcopy(node.attrs),
+                attrs={k: list(v) if isinstance(v, list) else v
+                       for k, v in node.attrs.items()},
                 fwd_sweeps=list(node.fwd_sweeps),
                 bwd_sweeps=list(node.bwd_sweeps),
                 fwd_invocations=node.fwd_invocations,

@@ -40,9 +40,13 @@ CONV_LIKE = frozenset({OpKind.CONV, OpKind.FC})
 BN_LIKE = frozenset({OpKind.BN, OpKind.BN_STATS, OpKind.BN_NORM})
 
 
-@dataclass
+@dataclass(eq=False)
 class Node:
     """One operation in a :class:`~repro.graph.graph.LayerGraph`.
+
+    Nodes compare and hash by identity: a graph holds each node once, so
+    finding one in the node list (``remove``, ``index``) is a C-speed
+    identity scan, not a field-by-field comparison of ledgers.
 
     Attributes
     ----------

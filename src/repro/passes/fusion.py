@@ -110,7 +110,7 @@ class FusionPass(Pass):
 
         # Forward: normalize (and rectify, if RCF folded a ReLU in) while
         # reading the BN input instead of the normalized tensor.
-        conv.inputs = [x if t == y else t for t in conv.inputs]
+        graph.replace_input(conv, y, x)
         new_fwd = []
         for sweep in conv.fwd_sweeps:
             if sweep.tensor == y and sweep.tag == "read_x":
@@ -170,7 +170,7 @@ class FusionPass(Pass):
                 sweep = replace(sweep, tensor=x, note="bnff: normalize inline")
             new_fwd.append(sweep)
         ews.fwd_sweeps = new_fwd
-        ews.inputs = [x if t == y else t for t in ews.inputs]
+        graph.replace_input(ews, y, x)
 
         # Backward: the write of this operand's gradient already exists
         # (it is d_bn_out); add the x_hat read for dgamma/dbeta.

@@ -41,7 +41,7 @@ class RCFPass(Pass):
             conv = self._eligible_consumer(graph, relu)
             if conv is None:
                 continue
-            self._fuse(relu, conv, result)
+            self._fuse(graph, relu, conv, result)
         return result
 
     @staticmethod
@@ -51,11 +51,12 @@ class RCFPass(Pass):
             return consumers[0]
         return None
 
-    def _fuse(self, relu: Node, conv: Node, result: PassResult) -> None:
+    def _fuse(self, graph: LayerGraph, relu: Node, conv: Node,
+              result: PassResult) -> None:
         x = relu.inputs[0]   # pre-ReLU tensor: the mask source
         y = relu.outputs[0]  # rectified tensor: becomes transient
 
-        conv.inputs = [x if t == y else t for t in conv.inputs]
+        graph.replace_input(conv, y, x)
         conv.attrs["fused_relu"] = relu.name
         conv.fused_from.append(f"relu:{relu.name}")
 

@@ -7,7 +7,9 @@ For every node the simulator computes, per direction:
   ghosted (fused-away) nodes are charged to their fusion hosts, so fusion
   moves arithmetic but never deletes it.
 * **memory time** — the node's current sweep ledger priced through the
-  cache model and streamed at effective bandwidth.
+  cache model and streamed at effective bandwidth. Each tensor's
+  one-sweep bytes are priced once per call, into one table over
+  ``graph.tensors`` that every node's ledger sums from.
 * **node time** — ``max(compute, memory) + invocations x call overhead``.
 
 Precision is a first-class dimension: compute ceilings come from the
@@ -25,7 +27,7 @@ BN/ReLU addresses into L1-resident buffers while keeping the arithmetic).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.graph.graph import LayerGraph
@@ -38,7 +40,7 @@ from repro.perf.flops import (
     node_flops,
 )
 from repro.perf.report import IterationCost, NodeCost, PassCost
-from repro.perf.traffic import node_dram_bytes
+from repro.perf.traffic import SweepBytes, ledger_dram_bytes, sweep_bytes_table
 
 #: Legacy fallback for graphs whose tensors carry no precision metadata
 #: (built directly, never re-typed): element width -> precision name.
@@ -61,10 +63,11 @@ def simulate(
     it from the graph's feature dtype (the graphs the sweep cache builds
     are re-typed to the cell's precision, so the two always agree).
     """
-    cache = CacheModel(hw)
     batch = _infer_batch(graph)
     if precision is None:
         precision = _infer_precision(graph)
+    sweep_bytes = sweep_bytes_table(graph, CacheModel(hw))
+    rates = _Rates(hw, precision, include_overhead)
 
     # Charge ghosted nodes' elementwise work to their fusion hosts.
     extra_eops: Dict[str, list] = {}
@@ -80,8 +83,8 @@ def simulate(
     return IterationCost(
         model=graph.name, hardware=hw.name, scenario=scenario, batch=batch,
         nodes=[
-            _price_node(node, graph, hw, cache, extra_eops.get(node.name, (0.0, 0.0)),
-                        infinite_bw_kinds, include_overhead, precision)
+            _price_node(node, graph, sweep_bytes, rates,
+                        extra_eops.get(node.name, (0.0, 0.0)), infinite_bw_kinds)
             for node in graph.nodes
         ],
     )
@@ -118,15 +121,38 @@ def _infer_precision(graph: LayerGraph) -> str:
     return "fp32"  # no DATA node: _infer_batch will have raised already
 
 
+class _Rates:
+    """The machine's rates at one precision, computed once per
+    :func:`simulate` call instead of once per node."""
+
+    def __init__(self, hw: HardwareSpec, precision: str,
+                 include_overhead: bool):
+        self.hw = hw
+        self.precision = precision
+        self.accumulate_bytes = hw.accumulate_bytes
+        self.conv_traffic_factor = hw.conv_traffic_factor
+        self.elementwise = hw.effective_elementwise(precision)
+        self.bandwidth = hw.effective_bandwidth()
+        self.overhead = hw.call_overhead_s if include_overhead else 0.0
+        self._gemm: Dict[tuple, Tuple[float, float]] = {}
+
+    def gemm(self, node: Node) -> Tuple[float, float]:
+        """:func:`_gemm_efficiencies`, once per (kind, kernel size)."""
+        key = (node.kind, node.attrs.get("kernel"))
+        rates = self._gemm.get(key)
+        if rates is None:
+            rates = self._gemm[key] = _gemm_efficiencies(node, self.hw,
+                                                         self.precision)
+        return rates
+
+
 def _price_node(
     node: Node,
     graph: LayerGraph,
-    hw: HardwareSpec,
-    cache: CacheModel,
+    sweep_bytes: SweepBytes,
+    rates: _Rates,
     extra_eops,
     infinite_bw_kinds: FrozenSet[OpKind],
-    include_overhead: bool,
-    precision: str,
 ) -> NodeCost:
     is_ghost = bool(node.attrs.get("fused_into"))
 
@@ -135,18 +161,20 @@ def _price_node(
     fwd_eops += extra_eops[0]
     bwd_eops += extra_eops[1]
     # Downconvert of wide-accumulated GEMM outputs (zero at fp32).
-    conv_fwd, conv_bwd = gemm_conversion_ops(node, graph, hw.accumulate_bytes)
+    conv_fwd, conv_bwd = gemm_conversion_ops(node, graph, rates.accumulate_bytes)
     fwd_eops += conv_fwd
     bwd_eops += conv_bwd
 
-    fwd_bytes, bwd_bytes = node_dram_bytes(node, graph, cache)
     if node.kind in infinite_bw_kinds:
         fwd_bytes = bwd_bytes = 0
+    else:
+        fwd_bytes, bwd_bytes = ledger_dram_bytes(node, sweep_bytes,
+                                                 rates.conv_traffic_factor)
 
-    eff_fwd, eff_bwd = _gemm_efficiencies(node, hw, precision)
-    elem_rate = hw.effective_elementwise(precision)
-    bw = hw.effective_bandwidth()
-    overhead = hw.call_overhead_s if include_overhead else 0.0
+    eff_fwd, eff_bwd = rates.gemm(node)
+    elem_rate = rates.elementwise
+    bw = rates.bandwidth
+    overhead = rates.overhead
 
     fwd = PassCost(
         flops=fwd_flops,

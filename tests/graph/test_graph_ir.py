@@ -137,6 +137,16 @@ class TestLayerGraph:
         c.node("bn1").fwd_sweeps = []
         assert len(g.node("bn1").fwd_sweeps) == 4
 
+    def test_clone_copies_attribute_lists(self):
+        from repro.models.registry import build_model
+        from repro.passes import apply_scenario
+
+        g, _ = apply_scenario(build_model("tiny_densenet", batch=2), "bnff_icf")
+        c = g.clone()
+        c.node("stem/pool0").attrs["icf_stats"].append("extra")
+        assert g.node("stem/pool0").attrs["icf_stats"] == [
+            "block1/cpl0/bn_a.stats"]
+
     def test_sweep_count_totals(self):
         g = tiny_graph()
         assert g.sweep_count() == sum(

@@ -3,7 +3,8 @@
 A generator builds random-but-valid straight-line-with-branches CNN graphs;
 every restructuring scenario must then preserve the structural invariants:
 validated graphs, conserved arithmetic, non-increasing sweep counts, and a
-complete fusion audit trail.
+complete fusion audit trail. The passes rewire edges through the consumer
+index, so it must agree with a scan of the node list wherever they leave it.
 """
 
 import numpy as np
@@ -11,8 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import GraphBuilder, OpKind
 from repro.passes import apply_scenario
-from repro.passes.scenarios import SCENARIO_ORDER
+from repro.passes.scenarios import SCENARIO_ORDER, SCENARIOS
 from repro.perf.flops import node_elementwise_ops, node_flops
+from tests.consumer_index import (
+    GRAPH_KEYS,
+    assert_index_matches_scan,
+    checked_at_validate,
+)
 
 
 @st.composite
@@ -134,3 +140,18 @@ class TestBuilderInvariants:
         for t in g.tensors.values():
             if t.kind is TensorKind.FEATURE:
                 assert len(g.consumers_of(t.name)) <= 1
+
+
+class TestConsumerIndex:
+    @settings(max_examples=25, deadline=None)
+    @given(g=random_cnn())
+    def test_index_matches_scan_after_every_scenario(self, g):
+        """The index as each pass leaves it, and a fresh one on the result,
+        name every tensor's consumers in node order; index_of is each
+        node's position."""
+        for scenario in SCENARIO_ORDER:
+            with checked_at_validate() as checked:
+                gg, _ = apply_scenario(g, scenario)
+            assert len(checked) == len(SCENARIOS[scenario])
+            assert set(vars(gg)) == GRAPH_KEYS
+            assert_index_matches_scan(gg)

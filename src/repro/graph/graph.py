@@ -2,12 +2,27 @@
 
 from __future__ import annotations
 
+import pickle
 from bisect import insort
-from typing import Dict, Iterable, List, Optional
+from collections import deque
+from dataclasses import fields
+from itertools import chain, islice, repeat
+from operator import attrgetter
+from typing import Collection, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import GraphError
 from repro.graph.node import Node, OpKind
+from repro.graph.sweeps import Sweep
 from repro.tensors.tensor_spec import TensorSpec
+
+#: The fields a pickled graph writes one column for, per class, in
+#: declaration order (see :meth:`LayerGraph.__reduce__`).
+_SPEC_FIELDS = tuple(f.name for f in fields(TensorSpec))
+_NODE_FIELDS = tuple(f.name for f in fields(Node))
+_SWEEP_FIELDS = tuple(f.name for f in fields(Sweep))
+#: Positions of the two ledger columns among :data:`_NODE_FIELDS`.
+_LEDGERS = (_NODE_FIELDS.index("fwd_sweeps"),
+            _NODE_FIELDS.index("bwd_sweeps"))
 
 
 class LayerGraph:
@@ -227,8 +242,81 @@ class LayerGraph:
             g._node_index[clone.name] = clone
         return g
 
+    def __reduce__(self):
+        """Pickle as columns: one list per field of the tensor specs, of
+        the nodes and of one flat sweep table.
+
+        A node's two ledger columns hold its ledger lengths; the table
+        holds every forward ledger in node order, then every backward
+        one. Fields are read with ``attrgetter``: reading ``__dict__``
+        (as pickling an object does) would make every node, sweep and
+        spec carry a dict for as long as the graph lives. The producer
+        map and node index are derived on load, and the consumer index
+        is never written.
+        """
+        node_columns = _columns(self.nodes, _NODE_FIELDS)
+        sweeps: List[Sweep] = []
+        for i in _LEDGERS:
+            sweeps.extend(chain.from_iterable(node_columns[i]))
+            node_columns[i] = list(map(len, node_columns[i]))
+        return (_restore_graph, (
+            self.name,
+            _SPEC_FIELDS, _columns(self.tensors.values(), _SPEC_FIELDS),
+            _NODE_FIELDS, node_columns,
+            _SWEEP_FIELDS, _columns(sweeps, _SWEEP_FIELDS),
+        ))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"LayerGraph({self.name}: {len(self.nodes)} nodes, "
             f"{len(self.tensors)} tensors)"
         )
+
+
+def _columns(objs: Collection, names: Sequence[str]) -> List[list]:
+    """One list of field values per name, in the order of *objs*."""
+    return [list(map(attrgetter(name), objs)) for name in names]
+
+
+def _rebuild(cls: type, names: Sequence[str], columns: List[list]) -> list:
+    """Dataclass instances of *cls* with each named field set from its
+    column.
+
+    No constructor runs, so the values are trusted as written, as by
+    any unpickling. Attribute assignment stores into the instances'
+    attribute slots without giving them a ``__dict__``; a frozen class
+    needs ``object.__setattr__``, which costs about twice the builtin.
+    """
+    objs = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    setattr_ = (object.__setattr__ if cls.__dataclass_params__.frozen
+                else setattr)
+    for name, column in zip(names, columns):
+        # An empty deque drains the map in C, one call per instance.
+        deque(map(setattr_, objs, repeat(name), column), maxlen=0)
+    return objs
+
+
+def _restore_graph(name: str, spec_fields: tuple, spec_columns: List[list],
+                   node_fields: tuple, node_columns: List[list],
+                   sweep_fields: tuple, sweep_columns: List[list]
+                   ) -> LayerGraph:
+    """Unpickle a :class:`LayerGraph` from the columns
+    :meth:`LayerGraph.__reduce__` wrote."""
+    if (spec_fields, node_fields, sweep_fields) != (
+            _SPEC_FIELDS, _NODE_FIELDS, _SWEEP_FIELDS):
+        # Written for other dataclass fields: a miss, never a graph
+        # whose objects lack (or carry stale) attributes.
+        raise pickle.UnpicklingError("graph payload fields do not match")
+    sweeps = iter(_rebuild(Sweep, sweep_fields, sweep_columns))
+    node_columns = list(node_columns)
+    for i in _LEDGERS:
+        node_columns[i] = [list(islice(sweeps, n)) for n in node_columns[i]]
+    nodes = _rebuild(Node, node_fields, node_columns)
+    specs = _rebuild(TensorSpec, spec_fields, spec_columns)
+    g = LayerGraph.__new__(LayerGraph)
+    g.name = name
+    g.nodes = nodes
+    g.tensors = {spec.name: spec for spec in specs}
+    g._producer = {t: node.name for node in nodes for t in node.outputs}
+    g._node_index = {node.name: node for node in nodes}
+    return g

@@ -13,7 +13,11 @@ Design constraints, in order:
    format version and a payload checksum, and a pickle round-trip of a
    cost record — columns of exact ints and IEEE doubles plus the totals
    it summed once — is exact: a disk hit is bit-identical to the
-   compute it replaces (pinned by ``tests/sweep/test_persist.py``).
+   compute it replaces (pinned by ``tests/sweep/test_persist.py``). A
+   graph is written as columns too — one list per field of its tensor
+   specs and of its nodes, plus one flat table of its sweeps — and
+   loads as the same objects in the same order, so it prices to the
+   same record (``tests/graph/test_serialize.py`` checks every field).
 2. **Never fatal.** A truncated, corrupted, foreign-format or
    version-mismatched file is treated as a miss (and quarantined out of
    the way), degrading to a cold compute — a half-written cache can slow
@@ -87,7 +91,11 @@ from repro.perf.report import IterationCost
 #: v4: ``IterationCost`` pickles as per-node columns plus its summed
 #: totals instead of one ``NodeCost`` and two ``PassCost`` objects per
 #: node — a v3 object payload is never read, only re-priced.
-CACHE_FORMAT_VERSION = 4
+#: v5: ``LayerGraph`` pickles as columns — per-field lists of its
+#: ``TensorSpec``s and ``Node``s plus one flat ``Sweep`` table — instead
+#: of one object per spec, node and sweep; a v4 graph payload is never
+#: read, only rebuilt. Cost payloads did not change.
+CACHE_FORMAT_VERSION = 5
 
 #: Entry kind -> subdirectory. Costs, graphs and node-count metadata live
 #: apart so a cache directory can be inspected (and selectively cleared)
@@ -149,6 +157,12 @@ class PersistentCache:
     payload is an :class:`IterationCost` in its pickled form: per-node
     columns (typed arrays for the numbers) plus the totals it summed
     when priced, so a load neither builds per-node objects nor re-sums.
+    A graph payload is a :class:`LayerGraph` in its pickled form: one
+    list per field of its tensor specs and of its nodes (a ledger column
+    holds each ledger's length) plus one flat table of every ledger's
+    sweeps. Neither writing nor loading it gives a node, sweep or spec a
+    ``__dict__``, and the producer map and node index are derived on
+    load.
 
     ``max_bytes`` / ``max_entries`` cap the store (``None`` = unbounded);
     :meth:`gc` enforces them LRU-by-mtime, where "recently used" means
@@ -279,6 +293,16 @@ class PersistentCache:
         shard = shard_for(key)
         try:
             faults.fire("cache.store", kind=kind, key=key)
+            # Pickled and checksummed before the lock: the shard's other
+            # stores and evictions wait only for the write and rename.
+            payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+            envelope = pickle.dumps({
+                "format": CACHE_FORMAT_VERSION,
+                "kind": kind,
+                "key": key,
+                "sha256": hashlib.sha256(payload).hexdigest(),
+                "payload": payload,
+            }, protocol=pickle.HIGHEST_PROTOCOL)
             with self._shard_lock(shard):
                 if os.path.exists(path):
                     try:
@@ -286,14 +310,6 @@ class PersistentCache:
                     except OSError:
                         pass
                     return
-                payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-                envelope = pickle.dumps({
-                    "format": CACHE_FORMAT_VERSION,
-                    "kind": kind,
-                    "key": key,
-                    "sha256": hashlib.sha256(payload).hexdigest(),
-                    "payload": payload,
-                }, protocol=pickle.HIGHEST_PROTOCOL)
                 directory = os.path.dirname(path)
                 os.makedirs(directory, exist_ok=True)
                 fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -10,6 +10,11 @@ import sys
 import pytest
 
 import repro
+from repro.graph import LayerGraph
+from repro.hw.presets import SKYLAKE_2S
+from repro.models.registry import MODEL_BUILDERS
+from repro.passes.scenarios import SCENARIO_ORDER
+from repro.perf import simulate
 from repro.sweep import (
     CACHE_FORMAT_VERSION,
     GraphCache,
@@ -18,6 +23,9 @@ from repro.sweep import (
     SweepSpec,
     run_sweep,
 )
+from repro.sweep.spec import scenario_key
+
+PAPER_MODELS = sorted(m for m in MODEL_BUILDERS if not m.startswith("tiny_"))
 
 GRID = SweepSpec(
     name="persist",
@@ -271,10 +279,67 @@ def test_v3_entry_degrades_to_cold_compute(cache_dir):
     for row, cold_row in zip(store.rows, cold.rows):
         assert row.cost == cold_row.cost
 
-    # The re-priced entries were written back as v4 and now hit.
+    # The re-priced entries were written back in the current format and
+    # now hit.
     warm = GraphCache(persist=PersistentCache(cache_dir))
     assert _totals(run_sweep(GRID, cache=warm)) == _totals(cold)
     assert warm.stats.cost_disk_hits == len(cold)
+
+
+def _rewrite_envelope(path, **changes):
+    with open(path, "rb") as fh:
+        envelope = pickle.load(fh)
+    envelope.update(changes)
+    with open(path, "wb") as fh:
+        pickle.dump(envelope, fh)
+
+
+def test_bad_graph_entries_are_rebuilt_and_restored(cache_dir):
+    """Graph entries degrade like cost entries: a v4-tagged, a truncated
+    and a checksum-flipped entry each read as a miss, are moved aside,
+    and are rebuilt and re-stored under the current format."""
+    run_sweep(GRID, cache=GraphCache(persist=PersistentCache(cache_dir)))
+    assert CACHE_FORMAT_VERSION >= 5
+    persist = PersistentCache(cache_dir)
+    cells = GRID.cells()
+    keys = [cell.scenario_key() for cell in cells[:3]]
+    paths = [persist.path_for("graph", key) for key in keys]
+    _rewrite_envelope(paths[0], format=4)
+    with open(paths[1], "r+b") as fh:
+        fh.truncate(7)
+    _rewrite_envelope(paths[2], sha256="0" * 64)
+
+    # A new hardware axis prices every cell again over the stored graphs.
+    cache = GraphCache(persist=PersistentCache(cache_dir))
+    run_sweep(GRID.subset(hardware="knights_landing"), cache=cache)
+    assert cache.stats.scenario_misses == 3
+    assert cache.stats.scenario_disk_hits == len(cells) - 3
+    assert cache.persist.stats.rejected == 3
+    for path in paths:
+        assert os.path.exists(path + ".rejected")
+        with open(path, "rb") as fh:
+            assert pickle.load(fh)["format"] == CACHE_FORMAT_VERSION
+
+    # The re-stored entries load.
+    probe = PersistentCache(cache_dir)
+    for cell, key in zip(cells, keys):
+        graph = probe.load_graph(key)
+        assert isinstance(graph, LayerGraph)
+        assert len(graph.nodes) == len(cache.scenario_graph(
+            cell.model, cell.batch, cell.scenario).nodes)
+    assert probe.stats.rejected == 0
+
+
+@pytest.mark.parametrize("model", PAPER_MODELS)
+def test_loaded_graphs_price_like_built_ones(model, cache_dir):
+    persist = PersistentCache(cache_dir)
+    cache = GraphCache(persist=persist)
+    for scenario in SCENARIO_ORDER:
+        built = cache.scenario_graph(model, 120, scenario)
+        loaded = persist.load_graph(scenario_key(model, 120, scenario))
+        assert loaded is not None and loaded is not built
+        assert (simulate(loaded, SKYLAKE_2S, scenario)
+                == simulate(built, SKYLAKE_2S, scenario)), scenario
 
 
 def test_node_counts_persist_and_feed_the_scheduler(cache_dir):

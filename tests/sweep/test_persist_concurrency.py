@@ -19,6 +19,7 @@ independent server processes), following the ``test_determinism.py``
 idiom.
 """
 
+import fcntl
 import hashlib
 import json
 import os
@@ -199,6 +200,34 @@ def test_shard_layout_and_stripe_sharing(tmp_path):
     assert a.path_for("cost", "abcd").endswith(
         os.path.join("costs", "a", "abcd.pkl")
     )
+
+
+class _LockProbe:
+    """Pickles only if it can take its shard's lock, without blocking,
+    from a descriptor of its own."""
+
+    def __init__(self, lock_path):
+        self.lock_path = lock_path
+
+    def __reduce__(self):
+        fd = os.open(self.lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        finally:
+            os.close(fd)
+        return (str, ("probe",))
+
+
+def test_store_pickles_before_taking_the_shard_lock(tmp_path):
+    """A store holds its shard's lock for the write and rename only, so
+    the shard's other stores and evictions never wait on a pickling."""
+    cache = PersistentCache(str(tmp_path / "dir"))
+    lock_dir = os.path.join(cache.root, "locks")
+    os.makedirs(lock_dir)
+    probe = _LockProbe(os.path.join(lock_dir, f"{shard_for('abcd')}.lock"))
+    cache.store("cost", "abcd", probe)
+    assert cache.stats.store_errors == 0
+    assert cache.load("cost", "abcd") == "probe"
 
 
 def test_shard_lock_excludes_threads_across_instances(tmp_path):

@@ -17,21 +17,35 @@ Run:  python examples/future_accelerator_study.py
 
 import dataclasses
 
-from repro.analysis import bandwidth_sweep, format_table
+from repro.analysis import format_table
+from repro.analysis.bandwidth import BandwidthPoint
 from repro.hw import SKYLAKE_2S
 from repro.models import build_model
 from repro.passes import apply_scenario
 from repro.perf import simulate
 from repro.perf.report import speedup
+from repro.sweep import SweepSpec, run_sweep
+
+#: Multipliers on Skylake's 230.4 GB/s: 460.8 down to 28.8 GB/s.
+BANDWIDTH_SCALES = (2.0, 1.0, 0.5, 0.25, 0.125)
 
 
 def bandwidth_curve() -> None:
     print("=== BNFF gain vs DRAM bandwidth (DenseNet-121, fixed compute) ===")
-    points = bandwidth_sweep(
-        "densenet121", SKYLAKE_2S,
-        bandwidths_gbs=[460.8, 230.4, 115.2, 57.6, 28.8],
-        batch=120,
-    )
+    store = run_sweep(SweepSpec(
+        name="bandwidth_curve",
+        models=("densenet121",),
+        scenarios=("baseline", "bnff"),
+        bandwidth_scales=BANDWIDTH_SCALES,
+    ))
+    points = [
+        BandwidthPoint(
+            bandwidth_gbs=SKYLAKE_2S.dram_bandwidth * scale / 1e9,
+            baseline=store.cost(scenario="baseline", bandwidth_scale=scale),
+            bnff=store.cost(scenario="bnff", bandwidth_scale=scale),
+        )
+        for scale in BANDWIDTH_SCALES
+    ]
     rows = [
         (
             f"{p.bandwidth_gbs:.1f}",
@@ -53,11 +67,21 @@ def compute_curve() -> None:
     bnff_graph, _ = apply_scenario(graph, "bnff")
     rows = []
     for scale in (1.0, 2.0, 4.0, 8.0):
+        # The per-precision tables scale with their scalar twins (their
+        # fp32 entries must equal the scalars).
         hw = dataclasses.replace(
             SKYLAKE_2S,
             name=f"skylake_x{scale:g}",
             peak_flops=SKYLAKE_2S.peak_flops * scale,
             elementwise_ops=SKYLAKE_2S.elementwise_ops * scale,
+            peak_flops_by_precision={
+                p: v * scale
+                for p, v in SKYLAKE_2S.peak_flops_by_precision.items()
+            },
+            elementwise_ops_by_precision={
+                p: v * scale
+                for p, v in SKYLAKE_2S.elementwise_ops_by_precision.items()
+            },
         )
         base = simulate(graph, hw)
         fused = simulate(bnff_graph, hw, scenario="bnff")

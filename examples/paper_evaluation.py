@@ -10,10 +10,14 @@ ICF extrapolation next to our physically-simulated ICF.
 Run:  python examples/paper_evaluation.py
 """
 
-from repro.analysis import compare_scenarios, format_table, paper_style_icf_estimate
+from repro.analysis import (
+    format_table,
+    paper_style_icf_estimate,
+    scenario_results_from_costs,
+)
 from repro.analysis.scenarios import invocation_counts
 from repro.graph.node import OpKind
-from repro.hw import SKYLAKE_2S
+from repro.sweep import SweepSpec, run_sweep
 
 PAPER_GAINS = {
     "densenet121": {"rcf": 9.2, "rcf_mvf": 10.9, "bnff": 25.7,
@@ -27,7 +31,11 @@ KINDS_SHOWN = (OpKind.CONV, OpKind.BN, OpKind.RELU, OpKind.CONCAT,
 
 def scenario_study(model: str) -> None:
     print(f"\n##### {model} (Skylake 2S, batch 120) #####")
-    results = compare_scenarios(model, SKYLAKE_2S, batch=120)
+    # Every scenario on Skylake 2S at batch 120 (the SweepSpec defaults),
+    # baseline first.
+    results = scenario_results_from_costs(
+        run_sweep(SweepSpec(models=(model,))).costs()
+    )
 
     rows = []
     for r in results:

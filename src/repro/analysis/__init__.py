@@ -1,32 +1,32 @@
-"""Analysis layer: turn simulator output into the paper's figures/tables.
+"""Analysis layer: the records and renderers behind the paper's figures.
 
-Each module corresponds to a family of paper artifacts:
+Every figure is priced by the sweep engine (:mod:`repro.sweep`). The
+figure modules here only turn its :class:`~repro.perf.report.IterationCost`
+slices into the paper's quantities; none of them builds, restructures or
+simulates a graph:
 
 * :mod:`repro.analysis.breakdown` — CONV/FC vs non-CONV execution-time
   splits (Figures 1 and 6).
-* :mod:`repro.analysis.scenarios` — the RCF / RCF+MVF / BNFF / BNFF+ICF
-  comparison (Figure 7) plus the paper-style ICF extrapolation.
-* :mod:`repro.analysis.bandwidth` — infinite-bandwidth (Figure 4) and
-  bandwidth-scaling (Figure 8) studies.
+* :mod:`repro.analysis.scenarios` — gains of the RCF / RCF+MVF / BNFF /
+  BNFF+ICF scenarios over the baseline (Figure 7) plus the paper-style
+  ICF extrapolation.
+* :mod:`repro.analysis.bandwidth` — the infinite-bandwidth (Figure 4) and
+  bandwidth-scaling (Figure 8) records.
 * :mod:`repro.analysis.tables` — plain-text renderers used by benches,
   examples and the experiment CLI.
+* :mod:`repro.analysis.ledger` and :mod:`repro.analysis.structure` —
+  sweep-ledger audits and model summaries of one layer graph.
+
+The contract linter, graph verifier and concurrency rules live in the
+:mod:`repro.analysis.static` and :mod:`repro.analysis.concurrency`
+subpackages.
 """
 
-from repro.analysis.breakdown import (
-    model_breakdown,
-    breakdown_from_cost,
-    breakdown_table,
-    architecture_comparison,
-)
+from repro.analysis.breakdown import breakdown_from_cost
 from repro.analysis.scenarios import (
     ScenarioResult,
-    compare_scenarios,
     paper_style_icf_estimate,
     scenario_results_from_costs,
-)
-from repro.analysis.bandwidth import (
-    infinite_bandwidth_speedup,
-    bandwidth_sweep,
 )
 from repro.analysis.tables import format_table, format_figure_series
 from repro.analysis.ledger import (
@@ -40,19 +40,12 @@ from repro.analysis.structure import (
     total_parameters,
     render_model_summary,
 )
-from repro.analysis.roofline import roofline_points, ridge_point, mean_intensity
 
 __all__ = [
-    "model_breakdown",
     "breakdown_from_cost",
-    "breakdown_table",
-    "architecture_comparison",
     "ScenarioResult",
-    "compare_scenarios",
     "paper_style_icf_estimate",
     "scenario_results_from_costs",
-    "infinite_bandwidth_speedup",
-    "bandwidth_sweep",
     "format_table",
     "format_figure_series",
     "chain_audit",
@@ -62,7 +55,4 @@ __all__ = [
     "model_summary",
     "total_parameters",
     "render_model_summary",
-    "roofline_points",
-    "ridge_point",
-    "mean_intensity",
 ]

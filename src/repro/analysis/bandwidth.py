@@ -8,22 +8,18 @@ Figure 8's experiment: halve the peak memory bandwidth (the paper
 down-clocked the DDR4 channels) and observe (a) the baseline's non-CONV
 share growing and (b) BNFF's gain growing — both signatures of the
 bandwidth bottleneck BNFF attacks.
+
+Both are sweep-engine grids (the ``infinite_bw`` and ``bandwidth_scales``
+axes); this module holds the records they assemble.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence
+from typing import FrozenSet
 
-from repro.graph.node import OpKind
-from repro.hw.spec import HardwareSpec
-from repro.models.registry import build_model
-from repro.passes.scenarios import apply_scenario
+from repro.graph.node import INFINITE_BW_KINDS, OpKind
 from repro.perf.report import IterationCost
-from repro.perf.simulator import simulate
-
-#: The layer kinds Figure 4 lets skip DRAM.
-FIG4_KINDS: FrozenSet[OpKind] = frozenset({OpKind.BN, OpKind.RELU})
 
 
 @dataclass(frozen=True)
@@ -40,32 +36,10 @@ class InfiniteBandwidthResult:
         return self.finite_s / self.infinite_s if self.infinite_s else float("inf")
 
 
-def kind_time(cost: IterationCost, kinds: FrozenSet[OpKind] = FIG4_KINDS) -> float:
+def kind_time(cost: IterationCost,
+              kinds: FrozenSet[OpKind] = INFINITE_BW_KINDS) -> float:
     """Total time spent in nodes of the given kinds (Figure 4's bars)."""
     return sum(n.time_s for n in cost.nodes if n.kind in kinds)
-
-
-def infinite_bandwidth_speedup(
-    model: str,
-    hw: HardwareSpec,
-    batch: int = 120,
-    kinds: FrozenSet[OpKind] = FIG4_KINDS,
-) -> InfiniteBandwidthResult:
-    """Compare BN+ReLU time with finite vs infinite memory bandwidth.
-
-    Concat and Split are excluded exactly as in the paper (their reference
-    cost is memory copies that pointer passing can remove).
-    """
-    graph = build_model(model, batch=batch)
-    finite = simulate(graph, hw)
-    infinite = simulate(graph, hw, infinite_bw_kinds=kinds)
-
-    return InfiniteBandwidthResult(
-        model=model,
-        hardware=hw.name,
-        finite_s=kind_time(finite, kinds),
-        infinite_s=kind_time(infinite, kinds),
-    )
 
 
 @dataclass(frozen=True)
@@ -83,25 +57,3 @@ class BandwidthPoint:
     @property
     def baseline_non_conv_share(self) -> float:
         return self.baseline.non_conv_share()
-
-
-def bandwidth_sweep(
-    model: str,
-    hw: HardwareSpec,
-    bandwidths_gbs: Sequence[float],
-    batch: int = 120,
-) -> List[BandwidthPoint]:
-    """Baseline vs BNFF at several peak-bandwidth settings."""
-    graph = build_model(model, batch=batch)
-    bnff_graph, _ = apply_scenario(graph, "bnff")
-    points = []
-    for gbs in bandwidths_gbs:
-        hw_at = hw.with_bandwidth(gbs * 1e9)
-        points.append(
-            BandwidthPoint(
-                bandwidth_gbs=gbs,
-                baseline=simulate(graph, hw_at),
-                bnff=simulate(bnff_graph, hw_at, scenario="bnff"),
-            )
-        )
-    return points

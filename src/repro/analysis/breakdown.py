@@ -3,12 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
 
-from repro.hw.spec import HardwareSpec
-from repro.models.registry import build_model
 from repro.perf.report import IterationCost
-from repro.perf.simulator import simulate
 
 
 @dataclass(frozen=True)
@@ -35,14 +31,6 @@ class Breakdown:
         return self.total_s / self.batch
 
 
-def model_breakdown(model: str, hw: HardwareSpec, batch: int = 120,
-                    **model_kwargs) -> Breakdown:
-    """Simulate one model's baseline iteration and split its time."""
-    graph = build_model(model, batch=batch, **model_kwargs)
-    cost = simulate(graph, hw)
-    return breakdown_from_cost(cost)
-
-
 def breakdown_from_cost(cost: IterationCost) -> Breakdown:
     return Breakdown(
         model=cost.model,
@@ -52,25 +40,3 @@ def breakdown_from_cost(cost: IterationCost) -> Breakdown:
         conv_fc_s=cost.conv_fc_time_s(),
         non_conv_s=cost.non_conv_time_s(),
     )
-
-
-def breakdown_table(models: Sequence[str], hw: HardwareSpec,
-                    batch: int = 120) -> List[Breakdown]:
-    """Figure 1: baseline breakdown across a model list (oldest first)."""
-    return [model_breakdown(m, hw, batch=batch) for m in models]
-
-
-def architecture_comparison(
-    model: str,
-    configs: Sequence[Tuple[HardwareSpec, int]],
-) -> List[Breakdown]:
-    """Figure 6: one model across (hardware, mini-batch) configurations.
-
-    The paper uses DenseNet-121 with GPU at batch 28, KNL at 128 and
-    Skylake at 120 (GPU memory capacity forces the smaller batch).
-    """
-    out = []
-    for hw, batch in configs:
-        graph = build_model(model, batch=batch)
-        out.append(breakdown_from_cost(simulate(graph, hw)))
-    return out

@@ -1,14 +1,15 @@
 """Scenario comparison — Figure 7's execution time and memory accesses.
 
-``compare_scenarios`` prices every named restructuring scenario of one
-model on one machine and reports gains relative to the baseline, split by
-pass direction, plus DRAM-traffic reductions — the two panels of Figure 7.
+``scenario_results_from_costs`` turns the costs of one model's
+restructuring scenarios on one machine (a sweep-engine slice, baseline
+first) into gains relative to the baseline, split by pass direction,
+plus DRAM-traffic reductions — the two panels of Figure 7.
 
 ``paper_style_icf_estimate`` reproduces the *estimation methodology* the
 paper used for its BNFF+ICF bar (the authors did not implement ICF; they
 scaled the measured BNFF improvement "in line with" the BN traffic that
 ICF would additionally cover). Our simulator runs ICF as a real graph
-transformation, so EXPERIMENTS.md reports both numbers side by side.
+transformation, so Figure 7 prints both numbers side by side.
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.graph.node import BN_LIKE, OpKind
-from repro.hw.spec import HardwareSpec
-from repro.models.registry import build_model
-from repro.passes.scenarios import SCENARIO_ORDER, apply_scenario
+from repro.graph.node import BN_LIKE
 from repro.perf.report import IterationCost
-from repro.perf.simulator import simulate
 
 
 @dataclass(frozen=True)
@@ -43,12 +40,7 @@ class ScenarioResult:
 def scenario_results_from_costs(
     costs: Sequence[IterationCost],
 ) -> List[ScenarioResult]:
-    """Turn per-scenario costs into gain records; the first is the baseline.
-
-    Shared by :func:`compare_scenarios` (the reference serial loop) and
-    the sweep-engine experiments, so both paths report byte-identical
-    gains from the same costs.
-    """
+    """Turn per-scenario costs into gain records; the first is the baseline."""
     results: List[ScenarioResult] = []
     baseline: IterationCost | None = None
     for cost in costs:
@@ -74,22 +66,6 @@ def scenario_results_from_costs(
             )
         )
     return results
-
-
-def compare_scenarios(
-    model: str,
-    hw: HardwareSpec,
-    batch: int = 120,
-    scenarios: Sequence[str] = SCENARIO_ORDER,
-    **model_kwargs,
-) -> List[ScenarioResult]:
-    """Simulate *model* under each scenario; first entry is the baseline."""
-    graph = build_model(model, batch=batch, **model_kwargs)
-    costs = []
-    for name in scenarios:
-        g, _ = apply_scenario(graph, name)
-        costs.append(simulate(g, hw, scenario=name))
-    return scenario_results_from_costs(costs)
 
 
 def paper_style_icf_estimate(results: Sequence[ScenarioResult]) -> float:

@@ -39,6 +39,11 @@ CONV_LIKE = frozenset({OpKind.CONV, OpKind.FC})
 #: Kinds that carry BN work (used by reports and the Fission pass).
 BN_LIKE = frozenset({OpKind.BN, OpKind.BN_STATS, OpKind.BN_NORM})
 
+#: Kinds whose sweeps cost no DRAM time on Figure 4's hypothetical
+#: machine (BN/ReLU data remapped into L1; the sweep engine's
+#: ``infinite_bw`` axis).
+INFINITE_BW_KINDS = frozenset({OpKind.BN, OpKind.RELU})
+
 
 @dataclass(eq=False)
 class Node:

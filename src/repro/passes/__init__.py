@@ -18,7 +18,6 @@ from repro.passes.rcf import RCFPass
 from repro.passes.fusion import FusionPass
 from repro.passes.icf import ICFPass
 from repro.passes.scenarios import SCENARIOS, apply_scenario, scenario_passes
-from repro.passes.inference_fold import fold_bn_into_conv, foldable_pairs
 
 __all__ = [
     "Pass",
@@ -32,6 +31,4 @@ __all__ = [
     "SCENARIOS",
     "apply_scenario",
     "scenario_passes",
-    "fold_bn_into_conv",
-    "foldable_pairs",
 ]

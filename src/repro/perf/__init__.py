@@ -11,8 +11,8 @@ from repro.perf.flops import node_flops, node_elementwise_ops
 from repro.perf.traffic import node_dram_bytes, sweep_dram_bytes
 from repro.perf.report import NodeCost, PassCost, IterationCost
 from repro.perf.simulator import simulate
-from repro.perf.timeline import iteration_timeline, bandwidth_series, TimelineSegment
-from repro.perf.footprint import training_footprint, footprint_by_region, footprint_savings, FootprintReport
+from repro.perf.timeline import iteration_timeline, TimelineSegment
+from repro.perf.footprint import training_footprint, footprint_savings, FootprintReport
 
 __all__ = [
     "node_flops",
@@ -24,10 +24,8 @@ __all__ = [
     "IterationCost",
     "simulate",
     "iteration_timeline",
-    "bandwidth_series",
     "TimelineSegment",
     "training_footprint",
-    "footprint_by_region",
     "footprint_savings",
     "FootprintReport",
 ]

@@ -156,16 +156,6 @@ def training_footprint(graph: LayerGraph,
     )
 
 
-def footprint_by_region(graph: LayerGraph) -> Dict[str, int]:
-    """Retained bytes grouped by the producing node's region tag."""
-    out: Dict[str, int] = {}
-    for tensor in retained_tensors(graph):
-        producer = graph.producer_of(tensor)
-        region = producer.region if producer else ""
-        out[region] = out.get(region, 0) + graph.tensor(tensor).size_bytes
-    return out
-
-
 def footprint_savings(baseline: LayerGraph, restructured: LayerGraph) -> float:
     """Fractional retained-footprint reduction of *restructured*."""
     base = training_footprint(baseline).retained_bytes

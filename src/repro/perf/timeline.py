@@ -9,9 +9,7 @@ therefore its achieved bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
-
-import numpy as np
+from typing import List
 
 from repro.graph.node import OpKind
 from repro.perf.report import IterationCost
@@ -53,24 +51,3 @@ def iteration_timeline(cost: IterationCost) -> List[TimelineSegment]:
                                             n.bwd.time_s, n.bwd.dram_bytes))
             t += n.bwd.time_s
     return segments
-
-
-def bandwidth_series(
-    segments: List[TimelineSegment], samples: int = 500
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample achieved bandwidth over time (the Figure 3 curve).
-
-    Returns (times, bandwidth_bps) arrays of length *samples*.
-    """
-    if not segments:
-        return np.zeros(0), np.zeros(0)
-    total = segments[-1].end_s
-    times = np.linspace(0.0, total, samples, endpoint=False)
-    bw = np.zeros(samples)
-    starts = np.array([s.start_s for s in segments])
-    idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, len(segments) - 1)
-    for i, si in enumerate(idx):
-        seg = segments[si]
-        if seg.start_s <= times[i] < seg.end_s:
-            bw[i] = seg.bandwidth_bps
-    return times, bw

@@ -57,13 +57,13 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro import faults
-from repro.analysis.bandwidth import FIG4_KINDS
 from repro.analysis.static.verifier import maybe_verify_graph
 from repro.errors import (
     CellPricingError,
     GraphVerificationError,
     SweepExecutionError,
 )
+from repro.graph.node import INFINITE_BW_KINDS
 from repro.hw.presets import get_preset
 from repro.hw.spec import HardwareSpec
 from repro.perf.report import IterationCost
@@ -78,10 +78,6 @@ from repro.sweep.schedule import (
 )
 from repro.sweep.spec import SweepCell, SweepSpec
 from repro.sweep.store import SweepResult
-
-#: The op kinds whose sweeps become free under the ``infinite_bw`` axis
-#: (Figure 4's hypothetical machine: BN/ReLU data remapped into L1).
-INFINITE_BW_KINDS = FIG4_KINDS
 
 
 def cell_hardware(cell: SweepCell) -> HardwareSpec:

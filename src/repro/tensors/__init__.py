@@ -7,16 +7,11 @@ validated against the same specs.
 """
 
 from repro.tensors.tensor_spec import TensorKind, TensorSpec
-from repro.tensors.shapes import (
-    conv2d_output_hw,
-    pool2d_output_hw,
-    validate_nchw,
-)
+from repro.tensors.shapes import conv2d_output_hw, pool2d_output_hw
 
 __all__ = [
     "TensorKind",
     "TensorSpec",
     "conv2d_output_hw",
     "pool2d_output_hw",
-    "validate_nchw",
 ]

@@ -79,14 +79,3 @@ def pool2d_output_hw(
         return out
 
     return one(h), one(w)
-
-
-def validate_nchw(shape: Tuple[int, ...], what: str = "tensor") -> Tuple[int, int, int, int]:
-    """Assert *shape* is a valid 4-D NCHW tuple and return it typed."""
-    if len(shape) != 4:
-        raise ShapeError(f"{what}: expected NCHW, got {shape!r}")
-    n, c, h, w = shape
-    for label, v in zip("NCHW", shape):
-        if v <= 0:
-            raise ShapeError(f"{what}: {label} must be positive in {shape!r}")
-    return n, c, h, w

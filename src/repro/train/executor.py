@@ -274,16 +274,13 @@ class GraphExecutor:
     def forward(self, images: np.ndarray, labels: np.ndarray) -> float:
         env = {self._data: np.ascontiguousarray(images, dtype=self.dtype)}
         self._env, self._bn_ctx = env, {}
-        self._run_forward(env)
-        return self.loss_module.forward(env.pop(self._logits), labels)
-
-    def _run_forward(self, env: Dict[str, np.ndarray]) -> None:
         for e in self.forward_plan:
             e.run(self, e, env)
             for stats in e.out_stats:
                 self._record_stats(stats, env[e.node.outputs[0]])
             for t in e.frees:
                 del env[t]
+        return self.loss_module.forward(env.pop(self._logits), labels)
 
     def _forward_layer(self, e: PlanEntry, env) -> None:
         env[e.node.outputs[0]] = e.module.forward(env[e.node.inputs[0]])
@@ -339,31 +336,6 @@ class GraphExecutor:
             mean, var = twopass_stats(value)
         self._bn_ctx[bn_name] = {"mean": mean, "var": var}
         self.bn_params[bn_name]._update_running(mean, var, value)
-
-    # ------------------------------------------------------------- inference --
-    def predict(self, images: np.ndarray) -> np.ndarray:
-        """Inference forward: BN uses running statistics; returns logits.
-
-        Only defined for unrestructured graphs — the training-time
-        restructuring is meaningless at inference, where BN is a frozen
-        affine (see :mod:`repro.passes.inference_fold` for that fusion).
-        """
-        if self.graph.nodes_of_kind(OpKind.BN_STATS, OpKind.BN_NORM):
-            raise ExecutionError(
-                "predict() requires an unrestructured graph; inference-time "
-                "BN fusion is weight folding, not scheduling"
-            )
-        modes = [(bn, bn.training) for bn in self.bn_params.values()]
-        for bn, _ in modes:
-            bn.eval()
-        env = {self._data: np.ascontiguousarray(images, dtype=self.dtype)}
-        self._run_forward(env)
-        for bn, training in modes:
-            bn.train(training)
-        for e in self.forward_plan:
-            if e.module is not None:
-                e.module.release()
-        return env.pop(self._logits)
 
     # -------------------------------------------------------------- backward --
     def backward(self) -> np.ndarray:

@@ -1,37 +1,41 @@
-"""Analysis layer: breakdowns, scenario comparisons, bandwidth studies,
-rendering."""
+"""Analysis layer: breakdowns, scenario gains, bandwidth records,
+rendering — over tiny sweep-engine grids."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
-    bandwidth_sweep,
-    breakdown_table,
-    compare_scenarios,
+    breakdown_from_cost,
     format_figure_series,
     format_table,
-    infinite_bandwidth_speedup,
-    model_breakdown,
     paper_style_icf_estimate,
+    scenario_results_from_costs,
 )
-from repro.analysis.breakdown import architecture_comparison
+from repro.analysis.bandwidth import BandwidthPoint, kind_time
 from repro.analysis.scenarios import invocation_counts
-from repro.hw import KNIGHTS_LANDING, SKYLAKE_2S
+from repro.hw import SKYLAKE_2S
+from repro.sweep import SweepSpec, run_sweep
 
 
 class TestBreakdown:
     def test_shares_sum_to_one(self):
-        b = model_breakdown("tiny_cnn", SKYLAKE_2S, batch=4)
+        store = run_sweep(SweepSpec(models=("tiny_cnn",),
+                                    scenarios=("baseline",), batches=(4,)))
+        b = breakdown_from_cost(store.cost())
         assert b.conv_fc_share + b.non_conv_share == pytest.approx(1.0)
 
-    def test_breakdown_table_order(self):
-        rows = breakdown_table(["alexnet", "vgg16"], SKYLAKE_2S, batch=4)
-        assert [r.model for r in rows] == ["alexnet", "vgg16"]
+    def test_breakdown_rows_follow_model_order(self):
+        store = run_sweep(SweepSpec(models=("vgg16", "alexnet"),
+                                    scenarios=("baseline",), batches=(4,)))
+        rows = [breakdown_from_cost(c) for c in store.costs()]
+        assert [r.model for r in rows] == ["vgg16", "alexnet"]
 
-    def test_architecture_comparison_batches(self):
-        rows = architecture_comparison(
-            "tiny_cnn", [(SKYLAKE_2S, 4), (KNIGHTS_LANDING, 8)]
-        )
+    def test_per_image_time_per_batch(self):
+        store = run_sweep([
+            SweepSpec(models=("tiny_cnn",), hardware=(hw,),
+                      scenarios=("baseline",), batches=(batch,))
+            for hw, batch in (("skylake_2s", 4), ("knights_landing", 8))
+        ])
+        rows = [breakdown_from_cost(c) for c in store.costs()]
         assert [r.batch for r in rows] == [4, 8]
         assert rows[0].per_image_s == pytest.approx(rows[0].total_s / 4)
 
@@ -39,7 +43,8 @@ class TestBreakdown:
 class TestScenarioComparison:
     @pytest.fixture(scope="class")
     def results(self):
-        return compare_scenarios("tiny_densenet", SKYLAKE_2S, batch=2)
+        store = run_sweep(SweepSpec(models=("tiny_densenet",), batches=(2,)))
+        return scenario_results_from_costs(store.costs())
 
     def test_baseline_first_with_zero_gain(self, results):
         assert results[0].scenario == "baseline"
@@ -60,15 +65,29 @@ class TestScenarioComparison:
 
 
 class TestBandwidthStudies:
-    def test_infinite_bandwidth_speedup_positive(self):
-        r = infinite_bandwidth_speedup("tiny_densenet", SKYLAKE_2S, batch=2)
+    def test_infinite_bandwidth_kind_time(self):
+        store = run_sweep(SweepSpec(models=("tiny_densenet",),
+                                    scenarios=("baseline",), batches=(2,),
+                                    infinite_bw=(False, True)))
+        finite = kind_time(store.cost(infinite_bw=False))
+        infinite = kind_time(store.cost(infinite_bw=True))
         # Toy tensors are cache resident -> no DRAM time at all; speedup
         # degenerates to ~1. Just check the structure is sane.
-        assert r.finite_s >= r.infinite_s > 0
+        assert finite >= infinite > 0
 
-    def test_bandwidth_sweep_ordering(self):
-        points = bandwidth_sweep("tiny_densenet", SKYLAKE_2S, [230.4, 115.2],
-                                 batch=2)
+    def test_bnff_at_most_baseline_at_each_bandwidth(self):
+        scales = (1.0, 0.5)
+        store = run_sweep(SweepSpec(models=("tiny_densenet",),
+                                    scenarios=("baseline", "bnff"),
+                                    batches=(2,), bandwidth_scales=scales))
+        points = [
+            BandwidthPoint(
+                bandwidth_gbs=SKYLAKE_2S.dram_bandwidth * s / 1e9,
+                baseline=store.cost(scenario="baseline", bandwidth_scale=s),
+                bnff=store.cost(scenario="bnff", bandwidth_scale=s),
+            )
+            for s in scales
+        ]
         assert [p.bandwidth_gbs for p in points] == [230.4, 115.2]
         for p in points:
             assert p.baseline.total_time_s >= p.bnff.total_time_s

@@ -49,6 +49,6 @@ class TestRunnerCli:
         assert main(["nope"]) == 2
 
     def test_single_experiment_runs(self, capsys):
-        assert main(["tab1"]) == 0
+        assert main(["tab1", "--no-persist"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
-from repro.passes import apply_scenario
+from repro.passes import SCENARIOS, apply_scenario
 from repro.train import GraphExecutor, SyntheticClassification, Trainer
 
 
@@ -75,3 +75,34 @@ class TestRunningStats:
         ex.forward(x, y)
         after = ex.bn_params["body/bn1"].running_mean
         assert not np.array_equal(before, after)
+
+    def test_running_stats_updated_in_reference_execution(self):
+        ex = GraphExecutor(build_model("tiny_cnn", batch=8), seed=0)
+        ds = SyntheticClassification(image=(3, 16, 16), num_classes=10, seed=1)
+        x, y = ds.batch(8, seed=0)
+        before = {name: (bn.running_mean.copy(), bn.running_var.copy())
+                  for name, bn in ex.bn_params.items()}
+        assert before
+        ex.forward(x, y)
+        for name, (mean, var) in before.items():
+            assert not np.array_equal(ex.bn_params[name].running_mean, mean)
+            assert not np.array_equal(ex.bn_params[name].running_var, var)
+
+    @pytest.mark.parametrize(
+        "scenario", [s for s in SCENARIOS if s != "baseline"])
+    def test_restructured_running_stats_match_reference(self, scenario):
+        """Restructuring moves where the statistics are computed, not the
+        running averages inference reads afterwards."""
+        g = build_model("tiny_densenet", batch=8)
+        ds = SyntheticClassification(image=(3, 16, 16), num_classes=10, seed=1)
+        x, y = ds.batch(8, seed=0)
+        ref = GraphExecutor(g, seed=0)
+        ex = GraphExecutor(apply_scenario(g, scenario)[0], seed=0)
+        ref.forward(x, y)
+        ex.forward(x, y)
+        assert ex.bn_params.keys() == ref.bn_params.keys()
+        for name, bn in ref.bn_params.items():
+            np.testing.assert_allclose(ex.bn_params[name].running_mean,
+                                       bn.running_mean, rtol=1e-6, atol=1e-6)
+            np.testing.assert_allclose(ex.bn_params[name].running_var,
+                                       bn.running_var, rtol=1e-6, atol=1e-6)

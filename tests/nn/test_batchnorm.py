@@ -64,6 +64,57 @@ class TestForward:
             BatchNorm2d(3)(np.zeros((2, 4, 4, 4), dtype=np.float32))
 
 
+def trained_bn(seed=0, channels=4):
+    """A BN with non-trivial parameters and running statistics."""
+    bn = BatchNorm2d(channels, momentum=0.5)
+    bn.gamma.data[:] = rng(seed).uniform(0.5, 1.5, channels).astype(np.float32)
+    bn.beta.data[:] = rng(seed + 1).normal(size=channels).astype(np.float32)
+    x = rng(seed + 2).normal(loc=2.0, scale=3.0, size=(8, channels, 5, 5))
+    bn(x.astype(np.float32))
+    return bn
+
+
+class TestEvalMode:
+    """Inference BN is a frozen per-channel affine: running statistics
+    replace the batch's, which is why inference can fold it into the
+    preceding convolution while training (Section 2.1) cannot."""
+
+    def test_eval_is_frozen_affine(self):
+        bn = trained_bn()
+        bn.eval()
+        x = rng(11).normal(size=(4, 4, 5, 5)).astype(np.float32)
+        scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+        shift = bn.beta.data - bn.running_mean * scale
+        expected = x * scale[None, :, None, None] + shift[None, :, None, None]
+        np.testing.assert_allclose(bn(x), expected, rtol=1e-5, atol=1e-5)
+
+    def test_eval_output_independent_of_batch(self):
+        bn = trained_bn()
+        x = rng(12).normal(size=(4, 4, 5, 5)).astype(np.float32)
+        bn.eval()
+        np.testing.assert_array_equal(bn(x)[:1], bn(x[:1]))
+        bn.train()
+        assert not np.allclose(bn(x)[:1], bn(x[:1]))
+
+    def test_eval_leaves_running_stats(self):
+        bn = trained_bn()
+        mean, var = bn.running_mean.copy(), bn.running_var.copy()
+        bn.eval()
+        bn(rng(13).normal(loc=-4.0, size=(4, 4, 5, 5)).astype(np.float32))
+        np.testing.assert_array_equal(bn.running_mean, mean)
+        np.testing.assert_array_equal(bn.running_var, var)
+
+    def test_train_returns_to_batch_statistics(self):
+        bn = trained_bn()
+        x = rng(14).normal(loc=-4.0, scale=2.0, size=(16, 4, 6, 6)).astype(np.float32)
+        bn.eval()
+        bn(x)
+        bn.train()
+        y = bn(x)
+        np.testing.assert_allclose(y.mean(axis=(0, 2, 3)), bn.beta.data, atol=1e-4)
+        np.testing.assert_allclose(y.std(axis=(0, 2, 3)), bn.gamma.data, rtol=1e-2)
+
+
 class TestBackward:
     def test_input_gradient_numerical(self):
         bn = BatchNorm2d(2)

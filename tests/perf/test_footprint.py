@@ -4,11 +4,8 @@ import pytest
 
 from repro.models import build_model
 from repro.passes import apply_scenario
-from repro.perf import (
-    footprint_by_region,
-    footprint_savings,
-    training_footprint,
-)
+from repro.perf import footprint_savings, training_footprint
+from repro.perf.footprint import retained_tensors
 
 
 class TestBaselineFootprint:
@@ -30,10 +27,12 @@ class TestBaselineFootprint:
         # conv outputs + bn outputs + relu outputs + pool caches...
         assert r.retained_tensors >= 6
 
-    def test_by_region_sums_to_total(self):
+    def test_retained_bytes_sum_over_retained_tensors(self):
         g = build_model("tiny_densenet", batch=4)
-        by_region = footprint_by_region(g)
-        assert sum(by_region.values()) == training_footprint(g).retained_bytes
+        names = retained_tensors(g)
+        r = training_footprint(g)
+        assert r.retained_tensors == len(names)
+        assert r.retained_bytes == sum(g.tensor(t).size_bytes for t in names)
 
 
 class TestRestructuredFootprint:

@@ -1,18 +1,18 @@
-"""Performance model: flop counts, traffic, roofline pricing, timeline."""
+"""Performance model: flop counts, traffic, roofline pricing, arithmetic
+intensity, timeline."""
 
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.graph import GraphBuilder, OpKind
+from repro.graph.node import CONV_LIKE
 from repro.hw import SKYLAKE_2S, CacheModel
 from repro.models import build_model
 from repro.passes import apply_scenario
 from repro.perf import (
-    bandwidth_series,
     iteration_timeline,
     node_dram_bytes,
     node_elementwise_ops,
@@ -173,6 +173,60 @@ class TestSimulator:
         assert sum(cost.dram_bytes_by_kind().values()) == cost.dram_bytes
 
 
+def node_ops(n):
+    """Arithmetic of one node's iteration: GEMM flops plus elementwise ops."""
+    return n.fwd.flops + n.fwd.eops + n.bwd.flops + n.bwd.eops
+
+
+def intensity(n):
+    """Ops per DRAM byte; infinite for a node that moves no DRAM bytes."""
+    return node_ops(n) / n.dram_bytes if n.dram_bytes else math.inf
+
+
+@pytest.fixture(scope="module")
+def densenet_cost():
+    return simulate(build_model("densenet121", batch=120), SKYLAKE_2S)
+
+
+class TestArithmeticIntensity:
+    """Section 3.1's argument in numbers: non-CONV layers sit far left of
+    the machine's ridge point, so no amount of compute helps them — only
+    traffic reduction does."""
+
+    def test_non_conv_layers_far_below_ridge(self, densenet_cost):
+        ridge = SKYLAKE_2S.peak_flops / SKYLAKE_2S.effective_bandwidth()
+        # Late 7x7 layers fit in the LLC at batch 120 and move no DRAM
+        # bytes: they are not part of the DRAM-bound population.
+        bn_relu = [n for n in densenet_cost.nodes
+                   if n.kind in (OpKind.BN, OpKind.RELU) and n.dram_bytes]
+        assert bn_relu
+        for n in bn_relu:
+            assert intensity(n) < ridge / 10
+
+    def test_conv_intensity_exceeds_non_conv(self, densenet_cost):
+        def time_weighted(conv_like):
+            chosen = [n for n in densenet_cost.nodes
+                      if (n.kind in CONV_LIKE) == conv_like
+                      and n.dram_bytes and n.time_s > 0]
+            total = sum(n.time_s for n in chosen)
+            return sum(intensity(n) * n.time_s for n in chosen) / total
+
+        assert time_weighted(True) > 10 * time_weighted(False) > 0
+
+    def test_achieved_throughput_bounded_by_peak(self, densenet_cost):
+        # Elementwise ops are bounded by the SIMD rate, convs by the FMA
+        # peak; neither can exceed the FMA peak.
+        for n in densenet_cost.nodes:
+            if n.time_s > 0:
+                assert node_ops(n) / n.time_s <= SKYLAKE_2S.peak_flops * 1.01
+
+    def test_cache_resident_iteration_moves_no_dram_bytes(self):
+        cost = simulate(build_model("tiny_cnn", batch=2), SKYLAKE_2S)
+        assert cost.total_time_s > 0
+        assert cost.dram_bytes == 0
+        assert all(intensity(n) == math.inf for n in cost.nodes)
+
+
 class TestTimeline:
     def test_segments_cover_iteration(self):
         cost = simulate(small_paper_graph(), SKYLAKE_2S)
@@ -197,12 +251,21 @@ class TestTimeline:
         for s in iteration_timeline(cost):
             assert s.bandwidth_bps <= SKYLAKE_2S.effective_bandwidth() * 1.001
 
-    def test_bandwidth_series_sampling(self):
-        cost = simulate(small_paper_graph(), SKYLAKE_2S)
-        times, bw = bandwidth_series(iteration_timeline(cost), samples=100)
-        assert len(times) == len(bw) == 100
-        assert bw.max() > 0
+    def test_segments_are_contiguous(self):
+        segments = iteration_timeline(simulate(small_paper_graph(), SKYLAKE_2S))
+        assert segments[0].start_s == 0.0
+        for prev, seg in zip(segments, segments[1:]):
+            assert seg.duration_s > 0
+            assert seg.start_s == prev.end_s
 
-    def test_empty_timeline(self):
-        times, bw = bandwidth_series([], samples=10)
-        assert len(times) == 0
+    def test_segments_carry_all_dram_traffic(self):
+        cost = simulate(small_paper_graph(), SKYLAKE_2S)
+        segments = iteration_timeline(cost)
+        assert sum(s.dram_bytes for s in segments) == cost.dram_bytes
+
+    def test_ghost_nodes_have_no_segment(self):
+        g, _ = apply_scenario(small_paper_graph(), "bnff")
+        cost = simulate(g, SKYLAKE_2S, "bnff")
+        ghosts = {n.name for n in cost.nodes if n.is_ghost}
+        assert ghosts
+        assert not ghosts & {s.node for s in iteration_timeline(cost)}

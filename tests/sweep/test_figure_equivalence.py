@@ -1,21 +1,21 @@
 """Every paper figure prices identically through the sweep engine and
-through the pre-refactor serial loops.
+straight through the pipeline.
 
-The analysis layer keeps the original hand-rolled loops
-(`breakdown_table`, `architecture_comparison`, `compare_scenarios`,
-`infinite_bandwidth_speedup`, `bandwidth_sweep`) as reference
-implementations; the experiments now declare SweepSpec grids. This test
-pins the two paths to *exactly* equal floats, and checks a warm cache
-re-runs the figure-7 grid measurably faster than a cold one.
+The reference is :func:`direct`: build the model, apply the scenario,
+simulate — no cache, no store, no session — combined with the same
+analysis helpers the experiments use. This test pins the two paths to
+*exactly* equal floats, and checks a warm cache re-runs the figure-7
+grid measurably faster than a cold one. (The printed numbers themselves
+are pinned by tests/experiments/test_golden_stdout.py.)
 """
 
 import time
 
 import pytest
 
-from repro.analysis.bandwidth import bandwidth_sweep, infinite_bandwidth_speedup
-from repro.analysis.breakdown import architecture_comparison, breakdown_table
-from repro.analysis.scenarios import compare_scenarios
+from repro.analysis.bandwidth import BandwidthPoint, kind_time
+from repro.analysis.breakdown import breakdown_from_cost
+from repro.analysis.scenarios import scenario_results_from_costs
 from repro.experiments import (
     figure1,
     figure3,
@@ -26,6 +26,7 @@ from repro.experiments import (
     gpu_results,
     table1,
 )
+from repro.graph.node import INFINITE_BW_KINDS
 from repro.hw.presets import (
     KNIGHTS_LANDING,
     PASCAL_TITAN_X,
@@ -34,15 +35,23 @@ from repro.hw.presets import (
     TABLE1_ARCHITECTURES,
 )
 from repro.models.registry import build_model
+from repro.passes.scenarios import SCENARIO_ORDER, apply_scenario
 from repro.perf.simulator import simulate
 from repro.perf.timeline import iteration_timeline
 from repro.sweep import GraphCache, run_sweep
 
 
-def test_figure1_breakdowns_equal_serial_loop():
+def direct(model, hw, batch, scenario="baseline", **kw):
+    """One cell priced build -> scenario -> simulate, without the engine."""
+    graph, _ = apply_scenario(build_model(model, batch=batch), scenario)
+    return simulate(graph, hw, scenario=scenario, **kw)
+
+
+def test_figure1_breakdowns_equal_direct_pipeline():
     via_sweep = figure1.run().breakdowns
-    via_loop = breakdown_table(figure1.MODELS, SKYLAKE_2S, batch=120)
-    assert via_sweep == via_loop  # frozen dataclasses: exact field equality
+    reference = [breakdown_from_cost(direct(m, SKYLAKE_2S, 120))
+                 for m in figure1.MODELS]
+    assert via_sweep == reference  # frozen dataclasses: exact field equality
 
 
 def test_figure3_timeline_equals_direct_simulation():
@@ -51,37 +60,42 @@ def test_figure3_timeline_equals_direct_simulation():
     assert via_sweep.segments == iteration_timeline(cost)
 
 
-def test_figure4_speedup_equals_serial_loop():
+def test_figure4_speedup_equals_direct_pipeline():
     via_sweep = figure4.run()
-    via_loop = infinite_bandwidth_speedup("densenet121", SKYLAKE_2S, batch=120)
-    assert via_sweep.finite_s == via_loop.finite_s
-    assert via_sweep.infinite_s == via_loop.infinite_s
-    assert via_sweep.speedup == via_loop.speedup
+    finite = kind_time(direct("densenet121", SKYLAKE_2S, 120))
+    infinite = kind_time(direct("densenet121", SKYLAKE_2S, 120,
+                                infinite_bw_kinds=INFINITE_BW_KINDS))
+    assert via_sweep.finite_s == finite
+    assert via_sweep.infinite_s == infinite
+    assert via_sweep.speedup == finite / infinite
 
 
-def test_figure6_breakdowns_equal_serial_loop():
+def test_figure6_breakdowns_equal_direct_pipeline():
     via_sweep = figure6.run().breakdowns
-    via_loop = architecture_comparison(
-        "densenet121",
-        [(PASCAL_TITAN_X, 28), (KNIGHTS_LANDING, 128), (SKYLAKE_2S, 120)],
-    )
-    assert via_sweep == via_loop
+    reference = [
+        breakdown_from_cost(direct("densenet121", hw, batch))
+        for hw, batch in ((PASCAL_TITAN_X, 28), (KNIGHTS_LANDING, 128),
+                          (SKYLAKE_2S, 120))
+    ]
+    assert via_sweep == reference
 
 
 @pytest.fixture(scope="module")
-def fig7_serial():
+def fig7_direct():
     return {
-        model: compare_scenarios(model, SKYLAKE_2S, batch=120)
+        model: scenario_results_from_costs(
+            [direct(model, SKYLAKE_2S, 120, s) for s in SCENARIO_ORDER]
+        )
         for model in ("densenet121", "resnet50")
     }
 
 
-def test_figure7_scenario_results_equal_serial_loop(fig7_serial):
+def test_figure7_scenario_results_equal_direct_pipeline(fig7_direct):
     via_sweep = figure7.run()
-    for model, serial_results in fig7_serial.items():
+    for model, direct_results in fig7_direct.items():
         sweep_results = via_sweep.results[model]
-        assert len(sweep_results) == len(serial_results)
-        for s, ref in zip(sweep_results, serial_results):
+        assert len(sweep_results) == len(direct_results)
+        for s, ref in zip(sweep_results, direct_results):
             assert s.scenario == ref.scenario
             assert s.cost.total_time_s == ref.cost.total_time_s
             assert s.cost.fwd_time_s == ref.cost.fwd_time_s
@@ -93,12 +107,19 @@ def test_figure7_scenario_results_equal_serial_loop(fig7_serial):
             assert s.dram_reduction == ref.dram_reduction
 
 
-def test_figure8_points_equal_serial_loop():
+def test_figure8_points_equal_direct_pipeline():
     via_sweep = figure8.run()
-    via_loop = bandwidth_sweep("densenet121", SKYLAKE_2S,
-                               figure8.BANDWIDTHS_GBS, batch=120)
-    assert len(via_sweep.points) == len(via_loop)
-    for p, ref in zip(via_sweep.points, via_loop):
+    reference = []
+    for gbs in figure8.BANDWIDTHS_GBS:
+        # Derived from Skylake here, not read from the half-rate preset.
+        hw = SKYLAKE_2S.with_bandwidth(gbs * 1e9)
+        reference.append(BandwidthPoint(
+            bandwidth_gbs=gbs,
+            baseline=direct("densenet121", hw, 120),
+            bnff=direct("densenet121", hw, 120, "bnff"),
+        ))
+    assert len(via_sweep.points) == len(reference)
+    for p, ref in zip(via_sweep.points, reference):
         assert p.bandwidth_gbs == ref.bandwidth_gbs
         assert p.baseline.total_time_s == ref.baseline.total_time_s
         assert p.bnff.total_time_s == ref.bnff.total_time_s
@@ -115,20 +136,18 @@ def test_table1_rows_equal_preset_loop():
     assert table1.run().rows == via_loop
 
 
-def test_gpu_results_equal_serial_loop():
+def test_gpu_results_equal_direct_pipeline():
     via_sweep = gpu_results.run()
+    batch = gpu_results.BATCH
     for model in ("densenet121", "resnet50"):
-        via_loop = compare_scenarios(
-            model, PASCAL_TITAN_X_CUTLASS, batch=gpu_results.BATCH,
-            scenarios=gpu_results.SCENARIOS,
-        )
-        cudnn = compare_scenarios(
-            model, PASCAL_TITAN_X, batch=gpu_results.BATCH,
-            scenarios=("baseline",),
-        )
+        reference = scenario_results_from_costs([
+            direct(model, PASCAL_TITAN_X_CUTLASS, batch, s)
+            for s in gpu_results.SCENARIOS
+        ])
+        cudnn = direct(model, PASCAL_TITAN_X, batch)
         sweep_results = via_sweep.results[model]
-        assert len(sweep_results) == len(via_loop)
-        for s, ref in zip(sweep_results, via_loop):
+        assert len(sweep_results) == len(reference)
+        for s, ref in zip(sweep_results, reference):
             assert s.scenario == ref.scenario
             assert s.cost.total_time_s == ref.cost.total_time_s
             assert s.cost.dram_bytes == ref.cost.dram_bytes
@@ -136,7 +155,7 @@ def test_gpu_results_equal_serial_loop():
             assert s.fwd_gain == ref.fwd_gain
             assert s.bwd_gain == ref.bwd_gain
         assert via_sweep.cutlass_slowdown[model] == (
-            via_loop[0].cost.total_time_s / cudnn[0].cost.total_time_s
+            reference[0].cost.total_time_s / cudnn.total_time_s
         )
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ShapeError
-from repro.tensors import conv2d_output_hw, pool2d_output_hw, validate_nchw
+from repro.tensors import conv2d_output_hw, pool2d_output_hw
 
 
 class TestConvShapes:
@@ -51,16 +51,3 @@ class TestPoolShapes:
     def test_window_too_large_raises(self):
         with pytest.raises(ShapeError):
             pool2d_output_hw((2, 2), 5)
-
-
-class TestValidateNchw:
-    def test_valid_passes_through(self):
-        assert validate_nchw((1, 2, 3, 4)) == (1, 2, 3, 4)
-
-    def test_wrong_rank_raises(self):
-        with pytest.raises(ShapeError):
-            validate_nchw((1, 2, 3))
-
-    def test_nonpositive_raises(self):
-        with pytest.raises(ShapeError):
-            validate_nchw((1, 0, 3, 4))
